@@ -290,6 +290,17 @@ func ExampleNetwork_SLOReport() {
 	// health: ok
 }
 
+// gatedContext is a context whose Err waits until gate is closed.
+type gatedContext struct {
+	context.Context
+	gate <-chan struct{}
+}
+
+func (c gatedContext) Err() error {
+	<-c.gate
+	return c.Context.Err()
+}
+
 // ExampleFleet_priority serves a fleet with overload protection and
 // drives it into saturation: the bounded queue fills with alert
 // traffic (which admission never sheds — only the full pool itself
@@ -314,6 +325,15 @@ func ExampleFleet_priority() {
 
 	seg := chest.TestSet()[0].Samples
 	alert := xpro.FleetRequest{Subject: "chest", Samples: seg, Priority: xpro.PriorityAlert}
+	// Hold the single worker on the first event until the batch has been
+	// refused, so that it cannot drain the queue under the flood: the
+	// engine checks that event's context just before classifying, and
+	// the check waits on the gate.
+	gate := make(chan struct{})
+	defer close(gate)
+	if _, err := fleet.SubmitRequest(gatedContext{context.Background(), gate}, alert); err != nil {
+		log.Fatal(err)
+	}
 	var errAlert error
 	for i := 0; i < 100000; i++ { // flood until the bounded queue is full
 		if _, errAlert = fleet.SubmitRequest(context.Background(), alert); errAlert != nil {

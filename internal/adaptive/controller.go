@@ -81,6 +81,10 @@ type Controller struct {
 	probViol  int
 	probLimit int
 	decisions []Decision
+	// memoInf / memoCand hold the last candidate cut and the channel
+	// inflation it was priced at; see candidate.
+	memoInf  float64
+	memoCand partition.Placement
 
 	evals, swaps, rollbacks *telemetry.Counter
 	gaugeLoss, gaugeOutage  *telemetry.Gauge
@@ -179,31 +183,10 @@ func (c *Controller) Evaluate(now float64) (*Change, error) {
 	defer func() { c.evalWall.ObserveWall(time.Since(start).Seconds()) }()
 
 	// Re-price every cut under the estimated channel: same graph, same
-	// hardware, derated link. Delay is re-priced too — a cut whose
-	// crossing payloads need too many retransmissions to meet T_XPro on
-	// the channel as it is now is not a candidate, however cheap its
-	// energy looks.
+	// hardware, derated link.
 	prob := *c.sys.Problem()
 	prob.Link = est.EffectiveModel(c.sys.Link, c.cfg.MaxInflation)
-	esys := *c.sys
-	esys.Link = prob.Link
-	delayOf := func(p partition.Placement) float64 { return esys.DelayOf(p).Total() }
-	var cand partition.Placement
-	if res, err := prob.Generate(delayOf, c.limit); err == nil {
-		cand = res.Placement
-	}
-	inSensor := partition.InSensor(c.sys.Graph)
-	if cand == nil {
-		// No cut meets T_XPro on this channel — the derated link is too
-		// slow even for the single-end engines' residual traffic. The
-		// in-sensor cut puts the least on the air and loses the least;
-		// hold position there until the channel recovers.
-		cand = inSensor
-	} else if delayOf(inSensor) <= c.limit && prob.SensorEnergy(inSensor) < prob.SensorEnergy(cand) {
-		// The sweep's λ ladder is finite; make sure the in-sensor engine
-		// is always in the running when it is delay-feasible.
-		cand = inSensor
-	}
+	cand := c.candidate(est.Inflation(c.cfg.MaxInflation), &prob)
 	if cand.Equal(c.active) {
 		return nil, nil
 	}
@@ -239,6 +222,41 @@ func (c *Controller) Evaluate(now float64) (*Change, error) {
 	sc, _ := c.active.Counts()
 	c.gaugeCells.Set(float64(sc))
 	return &Change{Kind: "swap", Placement: c.active, System: ns}, nil
+}
+
+// candidate returns the cut the generator picks on the channel prob
+// prices, which EffectiveModel derives from the inflation inf alone.
+// The candidate is therefore a function of inf, and the last one is
+// kept: a channel holding steady (clean at 1, or pinned at the cap)
+// re-evaluates without re-running the generator.
+func (c *Controller) candidate(inf float64, prob *partition.Problem) partition.Placement {
+	if c.memoCand != nil && inf == c.memoInf {
+		return c.memoCand
+	}
+	// Delay is re-priced too — a cut whose crossing payloads need too
+	// many retransmissions to meet T_XPro on the channel as it is now is
+	// not a candidate, however cheap its energy looks.
+	esys := *c.sys
+	esys.Link = prob.Link
+	delayOf := func(p partition.Placement) float64 { return esys.DelayOf(p).Total() }
+	var cand partition.Placement
+	if res, err := prob.Generate(delayOf, c.limit); err == nil {
+		cand = res.Placement
+	}
+	inSensor := partition.InSensor(c.sys.Graph)
+	if cand == nil {
+		// No cut meets T_XPro on this channel — the derated link is too
+		// slow even for the single-end engines' residual traffic. The
+		// in-sensor cut puts the least on the air and loses the least;
+		// hold position there until the channel recovers.
+		cand = inSensor
+	} else if delayOf(inSensor) <= c.limit && prob.SensorEnergy(inSensor) < prob.SensorEnergy(cand) {
+		// The sweep's λ ladder is finite; make sure the in-sensor engine
+		// is always in the running when it is delay-feasible.
+		cand = inSensor
+	}
+	c.memoInf, c.memoCand = inf, cand
+	return cand
 }
 
 // ObserveEvent feeds one classified event back into the loop: the

@@ -34,6 +34,10 @@ type Graph struct {
 	n     int
 	adj   [][]int // node → indices into edges
 	edges []Edge
+
+	// Solver scratch, kept so that re-solving after SetCap and Reset
+	// allocates nothing.
+	level, iter, queue, stack []int
 }
 
 // New creates a flow network with n nodes.
@@ -93,59 +97,17 @@ func (g *Graph) MaxFlow(s, t int) float64 {
 	if s == t {
 		return 0
 	}
+	if len(g.level) != g.n {
+		g.level = make([]int, g.n)
+		g.iter = make([]int, g.n)
+	}
 	total := 0.0
-	level := make([]int, g.n)
-	iter := make([]int, g.n)
-	queue := make([]int, 0, g.n)
-
-	bfs := func() bool {
-		for i := range level {
-			level[i] = -1
-		}
-		level[s] = 0
-		queue = queue[:0]
-		queue = append(queue, s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, ei := range g.adj[u] {
-				e := &g.edges[ei]
-				if level[e.To] < 0 && e.Cap-e.Flow > eps {
-					level[e.To] = level[u] + 1
-					queue = append(queue, e.To)
-				}
-			}
-		}
-		return level[t] >= 0
-	}
-
-	var dfs func(u int, f float64) float64
-	dfs = func(u int, f float64) float64 {
-		if u == t {
-			return f
-		}
-		for ; iter[u] < len(g.adj[u]); iter[u]++ {
-			ei := g.adj[u][iter[u]]
-			e := &g.edges[ei]
-			if level[e.To] != level[u]+1 || e.Cap-e.Flow <= eps {
-				continue
-			}
-			d := dfs(e.To, math.Min(f, e.Cap-e.Flow))
-			if d > eps {
-				e.Flow += d
-				g.edges[g.adj[e.To][e.rev]].Flow -= d
-				return d
-			}
-		}
-		return 0
-	}
-
-	for bfs() {
-		for i := range iter {
-			iter[i] = 0
+	for g.levels(s, t) {
+		for i := range g.iter {
+			g.iter[i] = 0
 		}
 		for {
-			f := dfs(s, math.Inf(1))
+			f := g.augment(s, t, math.Inf(1))
 			if f <= eps {
 				break
 			}
@@ -155,25 +117,57 @@ func (g *Graph) MaxFlow(s, t int) float64 {
 	return total
 }
 
+// levels labels every node with its BFS distance from s over residual
+// edges (-1 when unreachable) and reports whether t is reachable.
+func (g *Graph) levels(s, t int) bool {
+	level := g.level
+	for i := range level {
+		level[i] = -1
+	}
+	level[s] = 0
+	queue := append(g.queue[:0], s)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, ei := range g.adj[u] {
+			e := &g.edges[ei]
+			if level[e.To] < 0 && e.Cap-e.Flow > eps {
+				level[e.To] = level[u] + 1
+				queue = append(queue, e.To)
+			}
+		}
+	}
+	g.queue = queue
+	return level[t] >= 0
+}
+
+// augment pushes one blocking-flow path of at most f from u to t along
+// the level graph and returns the amount pushed.
+func (g *Graph) augment(u, t int, f float64) float64 {
+	if u == t {
+		return f
+	}
+	for ; g.iter[u] < len(g.adj[u]); g.iter[u]++ {
+		ei := g.adj[u][g.iter[u]]
+		e := &g.edges[ei]
+		if g.level[e.To] != g.level[u]+1 || e.Cap-e.Flow <= eps {
+			continue
+		}
+		d := g.augment(e.To, t, math.Min(f, e.Cap-e.Flow))
+		if d > eps {
+			e.Flow += d
+			g.edges[g.adj[e.To][e.rev]].Flow -= d
+			return d
+		}
+	}
+	return 0
+}
+
 // MinCut computes the minimum s-t cut. It returns the cut value, the
 // set of nodes on the source side (sourceSide[v] == true ⇔ v reachable
 // from s in the residual graph), and the indices of the cut edges.
 func (g *Graph) MinCut(s, t int) (value float64, sourceSide []bool, cutEdges []int) {
 	value = g.MaxFlow(s, t)
-	sourceSide = make([]bool, g.n)
-	stack := []int{s}
-	sourceSide[s] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ei := range g.adj[u] {
-			e := g.edges[ei]
-			if !sourceSide[e.To] && e.Cap-e.Flow > eps {
-				sourceSide[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
+	sourceSide = g.ResidualSide(s, nil)
 	for i := 0; i < len(g.edges); i += 2 { // forward edges only
 		e := g.edges[i]
 		if sourceSide[e.From] && !sourceSide[e.To] && e.Cap > eps {
@@ -181,6 +175,35 @@ func (g *Graph) MinCut(s, t int) (value float64, sourceSide []bool, cutEdges []i
 		}
 	}
 	return value, sourceSide, cutEdges
+}
+
+// ResidualSide marks the nodes reachable from s in the residual graph
+// — after MaxFlow, the source side of the minimum cut. It reuses side
+// when its length is the node count (so a re-solve loop allocates
+// nothing) and returns the marked slice.
+func (g *Graph) ResidualSide(s int, side []bool) []bool {
+	if len(side) != g.n {
+		side = make([]bool, g.n)
+	} else {
+		for i := range side {
+			side[i] = false
+		}
+	}
+	stack := append(g.stack[:0], s)
+	side[s] = true
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, ei := range g.adj[u] {
+			e := &g.edges[ei]
+			if !side[e.To] && e.Cap-e.Flow > eps {
+				side[e.To] = true
+				stack = append(stack, e.To)
+			}
+		}
+	}
+	g.stack = stack
+	return side
 }
 
 // AddNodeSideCosts wires node v between the terminals of a binary

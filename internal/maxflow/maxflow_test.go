@@ -3,6 +3,7 @@ package maxflow
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -273,5 +274,66 @@ func TestAddNodeSideCosts(t *testing.T) {
 	sv, vt := g2.AddNodeSideCosts(0, 1, 2, 0, 0)
 	if sv != -1 || vt != -1 {
 		t.Fatalf("zero-cost edges not skipped: %d %d", sv, vt)
+	}
+}
+
+// Re-solving after SetCap and Reset must reproduce a freshly built
+// network bit for bit: the same flow value, source side, cut edges and
+// per-edge flows. Capacities are redrawn with zeros mixed in, so edges
+// drop out of and rejoin the residual graph between solves.
+func TestResolveMatchesFreshBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	type arc struct{ u, v int }
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(12)
+		var arcs []arc
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u != v && rng.Float64() < 0.3 {
+					arcs = append(arcs, arc{u, v})
+				}
+			}
+		}
+		draw := func() []float64 {
+			caps := make([]float64, len(arcs))
+			for i := range caps {
+				switch rng.Intn(4) {
+				case 0:
+					caps[i] = 0
+				case 1:
+					caps[i] = Inf
+				default:
+					caps[i] = rng.Float64() * 1e-6
+				}
+			}
+			return caps
+		}
+		build := func(caps []float64) (*Graph, []int) {
+			g := New(n)
+			idx := make([]int, len(arcs))
+			for i, a := range arcs {
+				idx[i] = g.AddEdge(a.u, a.v, caps[i])
+			}
+			return g, idx
+		}
+		reused, idx := build(draw())
+		reused.MinCut(0, n-1)
+		for round := 0; round < 3; round++ {
+			caps := draw()
+			for i, c := range caps {
+				reused.SetCap(idx[i], c)
+			}
+			reused.Reset()
+			gotVal, gotSide, gotCut := reused.MinCut(0, n-1)
+			fresh, _ := build(caps)
+			wantVal, wantSide, wantCut := fresh.MinCut(0, n-1)
+			if gotVal != wantVal || !reflect.DeepEqual(gotSide, wantSide) || !reflect.DeepEqual(gotCut, wantCut) {
+				t.Fatalf("trial %d round %d: re-solve (%v, %v, %v), fresh (%v, %v, %v)",
+					trial, round, gotVal, gotSide, gotCut, wantVal, wantSide, wantCut)
+			}
+			if !reflect.DeepEqual(reused.edges, fresh.edges) {
+				t.Fatalf("trial %d round %d: per-edge flows differ from a fresh solve", trial, round)
+			}
+		}
 	}
 }

@@ -28,6 +28,7 @@ package partition
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"xpro/internal/maxflow"
@@ -157,6 +158,9 @@ type Problem struct {
 	// Metrics receives the generator's runtime counters; nil falls back
 	// to telemetry.Default().
 	Metrics *telemetry.Registry
+
+	// st keeps the s-t graphs of Graph between solves; see KeepSTGraph.
+	st *stCache
 }
 
 func (pr *Problem) metrics() *telemetry.Registry {
@@ -173,8 +177,10 @@ func (pr *Problem) metrics() *telemetry.Registry {
 func (pr *Problem) SensorEnergy(p Placement) float64 {
 	g := pr.Graph
 	e := pr.SensingEnergy
-	for _, id := range p.SensorCells() {
-		e += pr.HW.Energy(id)
+	for i, end := range p {
+		if end == Sensor {
+			e += pr.HW.Energy(topology.CellID(i))
+		}
 	}
 	// Raw segment is transmitted when any source reader is in the
 	// aggregator.
@@ -230,18 +236,45 @@ func (pr *Problem) GroupedOK(p Placement) bool {
 	return true
 }
 
-// stGraph builds the s-t graph with capacities energy + lambda·delay.
+// stGraph is the s-t graph of Fig. 7 for one topology. Its nodes and
+// edges depend on the topology alone; the capacities (energy +
+// λ·delay) depend on the hardware, the link, the aggregator delay model
+// and λ. A sweep over λ, or a re-pricing under another link, therefore
+// rewrites the capacities in place with SetCap and re-solves after
+// Reset.
+//
 // Node layout: 0 = F (sensor), 1 = B (aggregator), 2 = D (raw data),
 // 3+i = cell i, then two auxiliary nodes per multi-consumer transfer
 // group (broadcast tx and rx pricing).
-func (pr *Problem) stGraph(lambda float64) *maxflow.Graph {
-	g := pr.Graph
-	const (
-		nodeF = 0
-		nodeB = 1
-		nodeD = 2
-	)
-	cellNode := func(id topology.CellID) int { return 3 + int(id) }
+type stGraph struct {
+	graph *topology.Graph
+	fg    *maxflow.Graph
+	// Indices of the priced edges: F→D, cell→B and F→cell per cell,
+	// and the transmit and receive edge of each transfer group.
+	raw      int
+	out, agg []int
+	tx, rx   []int
+
+	// The capacity terms of the problem being solved, set by price.
+	rawCost, resCost wireless.Transfer
+	groupCost        []wireless.Transfer
+	energy, aggDelay []float64
+
+	side []bool
+	p    Placement
+}
+
+const (
+	nodeF = 0
+	nodeB = 1
+	nodeD = 2
+)
+
+func cellNode(id topology.CellID) int { return 3 + int(id) }
+
+// newSTGraph builds the s-t structure of g with every priced edge at
+// capacity zero.
+func newSTGraph(g *topology.Graph) *stGraph {
 	groups := g.TransferGroups()
 	multi := 0
 	for _, tg := range groups {
@@ -249,43 +282,37 @@ func (pr *Problem) stGraph(lambda float64) *maxflow.Graph {
 			multi++
 		}
 	}
-	fg := maxflow.New(3 + len(g.Cells) + 2*multi)
-	nextAux := 3 + len(g.Cells)
+	n := len(g.Cells)
+	st := &stGraph{
+		graph:     g,
+		fg:        maxflow.New(3 + n + 2*multi),
+		out:       make([]int, n),
+		agg:       make([]int, n),
+		tx:        make([]int, len(groups)),
+		rx:        make([]int, len(groups)),
+		groupCost: make([]wireless.Transfer, len(groups)),
+		energy:    make([]float64, n),
+		aggDelay:  make([]float64, n),
+		p:         make(Placement, n),
+	}
+	fg := st.fg
+	nextAux := 3 + n
 
 	// F→D: cost of shipping the raw segment.
-	raw := pr.Link.Cost(g.SourceBits)
-	fg.AddEdge(nodeF, nodeD, raw.TxEnergy+lambda*raw.Delay)
+	st.raw = fg.AddEdge(nodeF, nodeD, 0)
 	// D→reader (∞): the grouped constraint.
 	for _, id := range g.SourceReaders() {
 		fg.AddEdge(nodeD, cellNode(id), maxflow.Inf)
 	}
 	// cell→B: in-sensor compute energy (+ result transmission for the
-	// output cell, paid whenever it stays on the sensor).
-	//
-	// The Lagrangian delay terms cover exactly the ADDITIVE components
-	// of the end-to-end model: wireless air time (on transfer edges and
-	// F→D) and, when an AggDelay model is present, the serialized
-	// back-end latency of offloaded cells (on F→cell edges). Sensor-side
-	// cell latencies are deliberately NOT penalized — in-sensor cells
-	// are parallel hardware whose critical path is bounded by T_F, so a
-	// sum-of-delays penalty would push the sweep away from exactly the
-	// placements that meet tight limits. As λ grows the sweep therefore
-	// walks from the energy-optimal cut toward the in-sensor engine,
-	// tracing delay-feasible intermediates; each candidate's true delay
-	// is still checked by the caller's delay model.
+	// output cell, paid whenever it stays on the sensor). F→cell: the
+	// λ-weighted back-end latency of offloading the cell. A cell without
+	// one keeps its F→cell edge at capacity zero, which no augmenting
+	// path or residual search ever crosses, so the cut is the same as
+	// if the edge were absent.
 	for i := range g.Cells {
-		id := topology.CellID(i)
-		w := pr.HW.Energy(id)
-		if id == g.Output {
-			res := pr.Link.Cost(wireless.ValueBits)
-			w += res.TxEnergy + lambda*res.Delay
-		}
-		fg.AddEdge(cellNode(id), nodeB, w)
-		if lambda > 0 && pr.AggDelay != nil {
-			if d := pr.AggDelay(id); d > 0 {
-				fg.AddEdge(nodeF, cellNode(id), lambda*d)
-			}
-		}
+		st.out[i] = fg.AddEdge(cellNode(topology.CellID(i)), nodeB, 0)
+		st.agg[i] = fg.AddEdge(nodeF, cellNode(topology.CellID(i)), 0)
 	}
 	// Data dependencies, one transfer group at a time. Single-consumer
 	// groups use the paper's direct construction (u→v transmit, v→u
@@ -298,46 +325,151 @@ func (pr *Problem) stGraph(lambda float64) *maxflow.Graph {
 	//   v→R (∞ each), R→u (rx): R is dragged to the sensor side by any
 	//   sensor-side consumer, so R→u is cut exactly when u is on the
 	//   aggregator and some consumer is not.
-	for _, tg := range groups {
-		tr := pr.Link.Cost(tg.Bits)
+	for gi, tg := range groups {
 		u := cellNode(tg.From)
 		if len(tg.Consumers) == 1 {
 			v := cellNode(tg.Consumers[0])
-			fg.AddEdge(u, v, tr.TxEnergy+lambda*tr.Delay)
-			fg.AddEdge(v, u, tr.RxEnergy+lambda*tr.Delay)
+			st.tx[gi] = fg.AddEdge(u, v, 0)
+			st.rx[gi] = fg.AddEdge(v, u, 0)
 			continue
 		}
 		txAux, rxAux := nextAux, nextAux+1
 		nextAux += 2
-		fg.AddEdge(u, txAux, tr.TxEnergy+lambda*tr.Delay)
-		fg.AddEdge(rxAux, u, tr.RxEnergy+lambda*tr.Delay)
+		st.tx[gi] = fg.AddEdge(u, txAux, 0)
+		st.rx[gi] = fg.AddEdge(rxAux, u, 0)
 		for _, c := range tg.Consumers {
 			fg.AddEdge(txAux, cellNode(c), maxflow.Inf)
 			fg.AddEdge(cellNode(c), rxAux, maxflow.Inf)
 		}
 	}
-	return fg
+	return st
 }
 
-// placementFromSide converts a min-cut source side into a Placement.
-func (pr *Problem) placementFromSide(side []bool) Placement {
-	p := make(Placement, len(pr.Graph.Cells))
-	for i := range pr.Graph.Cells {
-		if side[3+i] {
-			p[i] = Sensor
-		} else {
-			p[i] = Aggregator
+// price loads the capacity terms of pr, whose Graph must be st's.
+func (st *stGraph) price(pr *Problem) {
+	g := st.graph
+	st.rawCost = pr.Link.Cost(g.SourceBits)
+	st.resCost = pr.Link.Cost(wireless.ValueBits)
+	for i := range g.Cells {
+		id := topology.CellID(i)
+		st.energy[i] = pr.HW.Energy(id)
+		st.aggDelay[i] = 0
+		if pr.AggDelay != nil {
+			if d := pr.AggDelay(id); d > 0 {
+				st.aggDelay[i] = d
+			}
 		}
 	}
-	return p
+	for gi, tg := range g.TransferGroups() {
+		st.groupCost[gi] = pr.Link.Cost(tg.Bits)
+	}
+}
+
+// solve sets the capacities to energy + lambda·delay, re-solves, and
+// returns the cut's source side (owned by st, valid until the next
+// solve).
+//
+// The Lagrangian delay terms cover exactly the ADDITIVE components of
+// the end-to-end model: wireless air time (on transfer edges and F→D)
+// and, when an AggDelay model is present, the serialized back-end
+// latency of offloaded cells (on F→cell edges). Sensor-side cell
+// latencies are deliberately NOT penalized — in-sensor cells are
+// parallel hardware whose critical path is bounded by T_F, so a
+// sum-of-delays penalty would push the sweep away from exactly the
+// placements that meet tight limits. As λ grows the sweep therefore
+// walks from the energy-optimal cut toward the in-sensor engine,
+// tracing delay-feasible intermediates; each candidate's true delay is
+// still checked by the caller's delay model.
+func (st *stGraph) solve(lambda float64) []bool {
+	fg := st.fg
+	fg.Reset()
+	fg.SetCap(st.raw, st.rawCost.TxEnergy+lambda*st.rawCost.Delay)
+	for i := range st.out {
+		w := st.energy[i]
+		if topology.CellID(i) == st.graph.Output {
+			w += st.resCost.TxEnergy + lambda*st.resCost.Delay
+		}
+		fg.SetCap(st.out[i], w)
+		agg := 0.0
+		if lambda > 0 {
+			agg = lambda * st.aggDelay[i]
+		}
+		fg.SetCap(st.agg[i], agg)
+	}
+	for gi, tr := range st.groupCost {
+		fg.SetCap(st.tx[gi], tr.TxEnergy+lambda*tr.Delay)
+		fg.SetCap(st.rx[gi], tr.RxEnergy+lambda*tr.Delay)
+	}
+	fg.MaxFlow(nodeF, nodeB)
+	st.side = fg.ResidualSide(nodeF, st.side)
+	return st.side
+}
+
+// placement converts the last solve's source side into a Placement
+// (owned by st, valid until the next call).
+func (st *stGraph) placement() Placement {
+	for i := range st.p {
+		if st.side[cellNode(topology.CellID(i))] {
+			st.p[i] = Sensor
+		} else {
+			st.p[i] = Aggregator
+		}
+	}
+	return st.p
+}
+
+// stCache is a free list of s-t graphs for one topology, shared by a
+// Problem and its copies.
+type stCache struct {
+	graph *topology.Graph
+	mu    sync.Mutex
+	free  []*stGraph
+}
+
+// KeepSTGraph makes pr, and every copy of pr made afterwards, keep the
+// generator's s-t graph between solves: MinCut, Frontier and Generate
+// then rewrite its capacities in place instead of building it again.
+// The structure depends on Graph alone, so copies re-pricing under
+// another Link share it. Call it before pr is shared between
+// goroutines; concurrent solves each take their own s-t graph.
+// Without it, each solve builds the structure once.
+func (pr *Problem) KeepSTGraph() { pr.st = &stCache{graph: pr.Graph} }
+
+// acquireST returns an s-t graph of pr.Graph priced for pr: a kept one
+// when available, otherwise a fresh one.
+func (pr *Problem) acquireST() *stGraph {
+	var st *stGraph
+	if c := pr.st; c != nil && c.graph == pr.Graph {
+		c.mu.Lock()
+		if n := len(c.free); n > 0 {
+			st = c.free[n-1]
+			c.free = c.free[:n-1]
+		}
+		c.mu.Unlock()
+	}
+	if st == nil {
+		st = newSTGraph(pr.Graph)
+	}
+	st.price(pr)
+	return st
+}
+
+// releaseST returns st to pr's kept s-t graphs, if pr keeps them.
+func (pr *Problem) releaseST(st *stGraph) {
+	if c := pr.st; c != nil && c.graph == st.graph {
+		c.mu.Lock()
+		c.free = append(c.free, st)
+		c.mu.Unlock()
+	}
 }
 
 // MinCut solves the unconstrained problem (§3.2.2) and returns the
 // energy-optimal placement and its modeled sensor energy.
 func (pr *Problem) MinCut() (Placement, float64) {
-	fg := pr.stGraph(0)
-	_, side, _ := fg.MinCut(0, 1)
-	p := pr.placementFromSide(side)
+	st := pr.acquireST()
+	st.solve(0)
+	p := append(Placement(nil), st.placement()...)
+	pr.releaseST(st)
 	return p, pr.SensorEnergy(p)
 }
 
@@ -369,6 +501,38 @@ var lambdaLadder = func() []float64 {
 	return ls
 }()
 
+// cut is one candidate placement with the Lagrangian weight that
+// produced it.
+type cut struct {
+	p      Placement
+	lambda float64
+}
+
+// sweep solves the s-t graph at every weight of the λ ladder and
+// returns the distinct cuts in ladder order, each with the first weight
+// that produced it.
+func (pr *Problem) sweep() []cut {
+	st := pr.acquireST()
+	defer pr.releaseST(st)
+	var cuts []cut
+	for _, l := range lambdaLadder {
+		st.solve(l)
+		if p := st.placement(); !containsCut(cuts, p) {
+			cuts = append(cuts, cut{p: append(Placement(nil), p...), lambda: l})
+		}
+	}
+	return cuts
+}
+
+func containsCut(cuts []cut, p Placement) bool {
+	for _, c := range cuts {
+		if c.p.Equal(p) {
+			return true
+		}
+	}
+	return false
+}
+
 // Generate solves the delay-constrained problem (§3.2.3). delayOf must
 // return the simulated end-to-end per-event delay of a placement; limit
 // is T_XPro. Generate returns the minimum-energy swept placement with
@@ -380,32 +544,19 @@ func (pr *Problem) Generate(delayOf func(Placement) float64, limit float64) (Res
 	if limit <= 0 {
 		return Result{}, fmt.Errorf("partition: non-positive delay limit %v", limit)
 	}
-	m := pr.metrics()
 	start := time.Now()
-	mincutRuns := m.Counter("xpro_generate_mincut_runs_total",
-		"Min-cut solves performed by the Automatic XPro Generator.")
-	type cand struct {
-		p      Placement
-		lambda float64
-	}
-	var cands []cand
-	seen := func(p Placement) bool {
-		for _, c := range cands {
-			if c.p.Equal(p) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, l := range lambdaLadder {
-		fg := pr.stGraph(l)
-		_, side, _ := fg.MinCut(0, 1)
-		mincutRuns.Inc()
-		p := pr.placementFromSide(side)
-		if !seen(p) {
-			cands = append(cands, cand{p: p, lambda: l})
-		}
-	}
+	cands := pr.sweep()
+	pr.metrics().Counter("xpro_generate_mincut_runs_total",
+		"Min-cut solves performed by the Automatic XPro Generator.").
+		Add(float64(len(lambdaLadder)))
+	return pr.generateFrom(cands, delayOf, limit, start)
+}
+
+// generateFrom finishes Generate from the sweep's cuts: greedy repair,
+// then the cheapest delay-feasible candidate or the single-end
+// fallback.
+func (pr *Problem) generateFrom(cands []cut, delayOf func(Placement) float64, limit float64, start time.Time) (Result, error) {
+	m := pr.metrics()
 	// The Lagrangian sweep can jump over the feasibility boundary when
 	// many cells share one energy/delay ratio (they all flip at the same
 	// λ). Greedy repair fills that gap: walk each infeasible sweep cut
@@ -413,15 +564,15 @@ func (pr *Problem) Generate(delayOf func(Placement) float64, limit float64) (Res
 	// cell with the best delay reduction per unit of added energy.
 	repairSteps := m.Counter("xpro_generate_repair_steps_total",
 		"Greedy-repair placements explored to bridge Lagrangian feasibility gaps.")
-	for _, c := range append([]cand(nil), cands...) {
+	for _, c := range append([]cut(nil), cands...) {
 		if delayOf(c.p) <= limit {
 			continue
 		}
 		repaired := pr.greedyRepair(c.p, delayOf, limit)
 		repairSteps.Add(float64(len(repaired)))
 		for _, q := range repaired {
-			if !seen(q) {
-				cands = append(cands, cand{p: q, lambda: c.lambda})
+			if !containsCut(cands, q) {
+				cands = append(cands, cut{p: q, lambda: c.lambda})
 			}
 		}
 	}
@@ -486,10 +637,12 @@ func (pr *Problem) Generate(delayOf func(Placement) float64, limit float64) (Res
 // source readers move as one unit.
 func (pr *Problem) greedyRepair(start Placement, delayOf func(Placement) float64, limit float64) []Placement {
 	g := pr.Graph
-	readerSet := make(map[topology.CellID]bool)
-	for _, id := range g.SourceReaders() {
-		readerSet[id] = true
+	readers := g.SourceReaders()
+	isReader := make([]bool, len(g.Cells))
+	for _, id := range readers {
+		isReader[id] = true
 	}
+	tried := make([]bool, len(g.Cells))
 	cur := append(Placement(nil), start...)
 	curDelay := delayOf(cur)
 	curEnergy := pr.SensorEnergy(cur)
@@ -501,15 +654,17 @@ func (pr *Problem) greedyRepair(start Placement, delayOf func(Placement) float64
 			energy float64
 		}
 		var best *move
-		tried := make(map[topology.CellID]bool)
+		for i := range tried {
+			tried[i] = false
+		}
 		for _, id := range cur.AggregatorCells() {
 			if tried[id] {
 				continue
 			}
 			q := append(Placement(nil), cur...)
-			if readerSet[id] {
+			if isReader[id] {
 				// Move the whole grouped set together.
-				for _, r := range g.SourceReaders() {
+				for _, r := range readers {
 					q[r] = Sensor
 					tried[r] = true
 				}

@@ -135,7 +135,9 @@ func TestQuickMinCutIsOptimalAmongRandom(t *testing.T) {
 func TestGraphAgreesWithDirectModel(t *testing.T) {
 	pr := testProblem(t)
 	g := pr.Graph
-	fg := pr.stGraph(0)
+	st := pr.acquireST()
+	st.solve(0)
+	fg := st.fg
 	for _, named := range []struct {
 		name string
 		p    Placement
@@ -160,7 +162,7 @@ func TestGraphAgreesWithDirectModel(t *testing.T) {
 		// Aux transfer nodes settle greedily: tx aux joins the sink side
 		// unless producer and all consumers are on the sensor side; rx
 		// aux joins the source side iff any consumer is on it... resolve
-		// by scanning groups in order, mirroring stGraph's layout.
+		// by scanning groups in order, mirroring newSTGraph's layout.
 		aux := 3 + len(g.Cells)
 		for _, tg := range g.TransferGroups() {
 			if len(tg.Consumers) == 1 {
@@ -349,7 +351,8 @@ func TestGroupedOK(t *testing.T) {
 }
 
 func BenchmarkMinCut(b *testing.B) {
-	pr := testProblem(b)
+	pr := *testProblem(b)
+	pr.KeepSTGraph()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -358,7 +361,8 @@ func BenchmarkMinCut(b *testing.B) {
 }
 
 func BenchmarkGenerate(b *testing.B) {
-	pr := testProblem(b)
+	pr := *testProblem(b)
+	pr.KeepSTGraph()
 	delayOf := func(p Placement) float64 {
 		_, na := p.Counts()
 		return float64(na)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"xpro/internal/fixed"
 	"xpro/internal/linalg"
@@ -168,12 +169,30 @@ func trainSMO(x [][]float64, y []int, p Params) (*Model, error) {
 
 	alpha := make([]float64, n)
 	var b float64
+	// nonzero lists, ascending, the indices with alpha != 0: f sums the
+	// same terms in the same order as a scan over all n, skipping the
+	// zeros (most of them, for a sparse solution) without visiting them.
+	var nonzero []int
+	inNonzero := make([]bool, n)
+	track := func(j int) {
+		if (alpha[j] != 0) == inNonzero[j] {
+			return
+		}
+		pos := sort.SearchInts(nonzero, j)
+		if inNonzero[j] {
+			nonzero = append(nonzero[:pos], nonzero[pos+1:]...)
+		} else {
+			nonzero = append(nonzero, 0)
+			copy(nonzero[pos+1:], nonzero[pos:])
+			nonzero[pos] = j
+		}
+		inNonzero[j] = !inNonzero[j]
+	}
 	f := func(i int) float64 {
 		s := -b
-		for j := 0; j < n; j++ {
-			if alpha[j] != 0 {
-				s += alpha[j] * float64(y[j]) * k[i][j]
-			}
+		ki := k[i]
+		for _, j := range nonzero {
+			s += alpha[j] * float64(y[j]) * ki[j]
 		}
 		return s
 	}
@@ -216,6 +235,8 @@ func trainSMO(x [][]float64, y []int, p Params) (*Model, error) {
 					continue
 				}
 				alpha[i] = ai + float64(y[i]*y[j])*(aj-alpha[j])
+				track(i)
+				track(j)
 				b1 := b + ei + float64(y[i])*(alpha[i]-ai)*k[i][i] + float64(y[j])*(alpha[j]-aj)*k[i][j]
 				b2 := b + ej + float64(y[i])*(alpha[i]-ai)*k[i][j] + float64(y[j])*(alpha[j]-aj)*k[j][j]
 				switch {

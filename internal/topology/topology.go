@@ -137,6 +137,104 @@ type Graph struct {
 	SourceBits int64
 	// Output is the fusion cell producing the final result.
 	Output CellID
+
+	// inv caches the lookups derived from Cells and Edges. The
+	// constructors fill it once; a Graph is immutable after
+	// construction, so every reader shares it. It is a plain pointer so
+	// that copying a Graph stays legal, and it is trusted only while the
+	// graph still holds the very slices it was computed from.
+	inv *invariants
+}
+
+// invariants are the placement-independent lookups every pricing and
+// execution path needs: the grouped source readers, the transfer
+// groups, and the in/out edge lists of each cell in compressed sparse
+// row form (the edges feeding cell i are in[inOff[i]:inOff[i+1]], in
+// Edges order).
+type invariants struct {
+	// cells, edges and their lengths identify the slices the lookups
+	// were computed from.
+	cells          *Cell
+	edges          *Edge
+	nCells, nEdges int
+
+	readers       []CellID
+	groups        []TransferGroup
+	inOff, outOff []int
+	in, out       []Edge
+}
+
+// seal computes the graph's invariants and keeps them; constructors
+// call it as their last step.
+func (g *Graph) seal() *Graph {
+	g.inv = computeInvariants(g)
+	return g
+}
+
+// invariants returns the cached lookups when they still describe g,
+// and otherwise computes them afresh without keeping them (a
+// hand-built literal graph, or a copy whose Cells or Edges were
+// replaced).
+func (g *Graph) invariants() *invariants {
+	if v := g.inv; v != nil && v.describes(g) {
+		return v
+	}
+	return computeInvariants(g)
+}
+
+func (v *invariants) describes(g *Graph) bool {
+	return len(g.Cells) == v.nCells && len(g.Edges) == v.nEdges &&
+		(v.nCells == 0 || &g.Cells[0] == v.cells) &&
+		(v.nEdges == 0 || &g.Edges[0] == v.edges)
+}
+
+// computeInvariants derives the lookups from scratch. Edges naming a
+// cell outside the graph are left out of that cell's edge lists, so an
+// invalid graph can still be inspected (Validate reports it).
+func computeInvariants(g *Graph) *invariants {
+	n := len(g.Cells)
+	v := &invariants{
+		nCells:  n,
+		nEdges:  len(g.Edges),
+		readers: sourceReaders(g.Edges),
+		groups:  transferGroups(g.Edges),
+		inOff:   make([]int, n+1),
+		outOff:  make([]int, n+1),
+	}
+	if n > 0 {
+		v.cells = &g.Cells[0]
+	}
+	if len(g.Edges) > 0 {
+		v.edges = &g.Edges[0]
+	}
+	valid := func(id CellID) bool { return id >= 0 && int(id) < n }
+	for _, e := range g.Edges {
+		if valid(e.To) {
+			v.inOff[e.To+1]++
+		}
+		if valid(e.From) {
+			v.outOff[e.From+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		v.inOff[i+1] += v.inOff[i]
+		v.outOff[i+1] += v.outOff[i]
+	}
+	v.in = make([]Edge, v.inOff[n])
+	v.out = make([]Edge, v.outOff[n])
+	inNext := append([]int(nil), v.inOff[:n]...)
+	outNext := append([]int(nil), v.outOff[:n]...)
+	for _, e := range g.Edges {
+		if valid(e.To) {
+			v.in[inNext[e.To]] = e
+			inNext[e.To]++
+		}
+		if valid(e.From) {
+			v.out[outNext[e.From]] = e
+			outNext[e.From]++
+		}
+	}
+	return v
 }
 
 // bandLen returns the sample count of DWT band domain d (1..5 details,
@@ -362,7 +460,7 @@ func buildFrom(used []ensemble.FeatureSpec, domains []int, bases []baseInfo, seg
 		valueEdge(id, fusion)
 	}
 	g.Output = fusion
-	return g, nil
+	return g.seal(), nil
 }
 
 // connectDomain wires a feature cell to its data producer: the source
@@ -382,11 +480,17 @@ func connectDomain(g *Graph, domain int, id CellID, segLen int, dwtCells []CellI
 }
 
 // SourceReaders returns the IDs of cells reading the raw segment — the
-// "grouped" set of §3.2.2.
+// "grouped" set of §3.2.2. The slice is shared; callers must not modify
+// it.
 func (g *Graph) SourceReaders() []CellID {
+	r := g.invariants().readers
+	return r[:len(r):len(r)]
+}
+
+func sourceReaders(edges []Edge) []CellID {
 	var out []CellID
 	seen := make(map[CellID]bool)
-	for _, e := range g.Edges {
+	for _, e := range edges {
 		if e.From == SourceID && !seen[e.To] {
 			seen[e.To] = true
 			out = append(out, e.To)
@@ -395,26 +499,24 @@ func (g *Graph) SourceReaders() []CellID {
 	return out
 }
 
-// InEdges returns the edges feeding cell id.
+// InEdges returns the edges feeding cell id, in Edges order. The slice
+// is shared; callers must not modify it.
 func (g *Graph) InEdges(id CellID) []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.To == id {
-			out = append(out, e)
-		}
+	v := g.invariants()
+	if id < 0 || int(id) >= v.nCells {
+		return nil
 	}
-	return out
+	return v.in[v.inOff[id]:v.inOff[id+1]:v.inOff[id+1]]
 }
 
-// OutEdges returns the edges leaving cell id.
+// OutEdges returns the edges leaving cell id, in Edges order. The slice
+// is shared; callers must not modify it.
 func (g *Graph) OutEdges(id CellID) []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.From == id {
-			out = append(out, e)
-		}
+	v := g.invariants()
+	if id < 0 || int(id) >= v.nCells {
+		return nil
 	}
-	return out
+	return v.out[v.outOff[id]:v.outOff[id+1]:v.outOff[id+1]]
 }
 
 // TransferGroup is a set of edges leaving one producer with identical
@@ -430,15 +532,21 @@ type TransferGroup struct {
 
 // TransferGroups partitions the non-source edges by (producer, payload
 // class), in deterministic order. Source edges are excluded: the raw
-// segment is priced by the generator's F→D edge.
+// segment is priced by the generator's F→D edge. The groups and their
+// Consumers slices are shared; callers must not modify them.
 func (g *Graph) TransferGroups() []TransferGroup {
+	tg := g.invariants().groups
+	return tg[:len(tg):len(tg)]
+}
+
+func transferGroups(edges []Edge) []TransferGroup {
 	type key struct {
 		from  CellID
 		class Payload
 	}
 	idx := make(map[key]int)
 	var out []TransferGroup
-	for _, e := range g.Edges {
+	for _, e := range edges {
 		if e.From == SourceID {
 			continue
 		}
@@ -457,6 +565,10 @@ func (g *Graph) TransferGroups() []TransferGroup {
 			}
 		}
 		out[i].Consumers = append(out[i].Consumers, e.To)
+	}
+	for i := range out {
+		c := out[i].Consumers
+		out[i].Consumers = c[:len(c):len(c)]
 	}
 	return out
 }
@@ -537,7 +649,7 @@ func (g *Graph) Relabel(perm []CellID) (*Graph, error) {
 		e.To = perm[e.To]
 		out.Edges[i] = e
 	}
-	return out, nil
+	return out.seal(), nil
 }
 
 // NumByRole counts cells per role.

@@ -63,6 +63,40 @@ type System struct {
 
 	problem *partition.Problem
 	order   []topology.CellID
+	// priced memoizes the per-event figures of the placement and link
+	// the system was built with (New, WithPlacement). A copy that swaps
+	// either reprices on every call.
+	priced *pricing
+}
+
+// pricing is the memoized DelayPerEvent and EnergyPerEvent of one
+// (placement, link).
+type pricing struct {
+	placement partition.Placement
+	link      wireless.Model
+	delay     Delay
+	energy    Energy
+}
+
+// price fills the memo for the system's current placement and link.
+func (s *System) price() *System {
+	s.priced = &pricing{
+		placement: s.Placement,
+		link:      s.Link,
+		delay:     s.DelayOf(s.Placement),
+		energy:    s.computeEnergy(),
+	}
+	return s
+}
+
+// memo returns the memoized figures when they still describe s.
+func (s *System) memo() *pricing {
+	m := s.priced
+	if m == nil || m.link != s.Link || len(m.placement) != len(s.Placement) ||
+		(len(s.Placement) > 0 && &m.placement[0] != &s.Placement[0]) {
+		return nil
+	}
+	return m
 }
 
 // metrics returns the effective registry (never nil-dereferenced:
@@ -127,7 +161,8 @@ func New(g *topology.Graph, ens *ensemble.Ensemble, proc celllib.Process, link w
 			return cpu.CellCost(g.Cells[id].Spec).Delay
 		},
 	}
-	return &System{
+	prob.KeepSTGraph()
+	s := &System{
 		Graph:        g,
 		Ens:          ens,
 		HW:           hw,
@@ -137,7 +172,8 @@ func New(g *topology.Graph, ens *ensemble.Ensemble, proc celllib.Process, link w
 		SampleRateHz: sampleRateHz,
 		problem:      prob,
 		order:        order,
-	}, nil
+	}
+	return s.price(), nil
 }
 
 // Problem exposes the pricing problem used by this system (shared with
@@ -159,7 +195,7 @@ func (s *System) WithPlacement(p partition.Placement) (*System, error) {
 	}
 	ns := *s
 	ns.Placement = append(partition.Placement(nil), p...)
-	return &ns, nil
+	return ns.price(), nil
 }
 
 // EventsPerSecond returns the segment-analysis rate.
@@ -192,17 +228,28 @@ func (e Energy) SensorWireless() float64 { return e.SensorTx + e.SensorRx }
 // AggregatorTotal is the aggregator's per-event energy.
 func (e Energy) AggregatorTotal() float64 { return e.AggCompute + e.AggRx + e.AggTx }
 
-// EnergyPerEvent computes the full per-event energy breakdown.
+// EnergyPerEvent returns the full per-event energy breakdown.
 func (s *System) EnergyPerEvent() Energy {
+	if m := s.memo(); m != nil {
+		return m.energy
+	}
+	return s.computeEnergy()
+}
+
+func (s *System) computeEnergy() Energy {
 	g := s.Graph
 	p := s.Placement
 	var e Energy
 	e.Sensing = s.problem.SensingEnergy
-	for _, id := range p.SensorCells() {
-		e.SensorCompute += s.HW.Energy(id)
+	for i, end := range p {
+		if end == partition.Sensor {
+			e.SensorCompute += s.HW.Energy(topology.CellID(i))
+		}
 	}
-	for _, id := range p.AggregatorCells() {
-		e.AggCompute += s.CPU.CellCost(g.Cells[id].Spec).Energy
+	for i, end := range p {
+		if end == partition.Aggregator {
+			e.AggCompute += s.CPU.CellCost(g.Cells[i].Spec).Energy
+		}
 	}
 	rawSent := false
 	for _, id := range g.SourceReaders() {
@@ -260,8 +307,13 @@ type Delay struct {
 // Total is the end-to-end per-event delay.
 func (d Delay) Total() float64 { return d.FrontEnd + d.Wireless + d.BackEnd }
 
-// DelayPerEvent computes the delay breakdown for the system's placement.
-func (s *System) DelayPerEvent() Delay { return s.DelayOf(s.Placement) }
+// DelayPerEvent returns the delay breakdown for the system's placement.
+func (s *System) DelayPerEvent() Delay {
+	if m := s.memo(); m != nil {
+		return m.delay
+	}
+	return s.DelayOf(s.Placement)
+}
 
 // DelayOf computes the delay breakdown for an arbitrary placement — the
 // delay model handed to the Automatic XPro Generator.
@@ -316,8 +368,10 @@ func (s *System) DelayOf(p partition.Placement) Delay {
 	}
 
 	// Back end: sequential software execution.
-	for _, id := range p.AggregatorCells() {
-		d.BackEnd += s.CPU.CellCost(g.Cells[id].Spec).Delay
+	for i, end := range p {
+		if end == partition.Aggregator {
+			d.BackEnd += s.CPU.CellCost(g.Cells[i].Spec).Delay
+		}
 	}
 	return d
 }

@@ -307,6 +307,32 @@ func BenchmarkEnergyPerEvent(b *testing.B) {
 	}
 }
 
+// The memoized per-event figures equal a fresh pricing, for a built
+// system and for a WithPlacement copy, and a copy re-pricing another
+// link is not served the original's figures.
+func TestPerEventFiguresMemoized(t *testing.T) {
+	f := getFixture(t)
+	s := newSystem(t, f, partition.Trivial(f.graph))
+	cross, err := s.WithPlacement(partition.InAggregator(f.graph))
+	if err != nil {
+		t.Fatal(err)
+	}
+	derated := *cross
+	derated.Link.TxJPerBit *= 4
+	derated.Link.RateBps /= 4
+	for name, sys := range map[string]*System{"built": s, "WithPlacement": cross, "derated copy": &derated} {
+		if got, want := sys.DelayPerEvent(), sys.DelayOf(sys.Placement); got != want {
+			t.Errorf("%s: DelayPerEvent %+v, fresh %+v", name, got, want)
+		}
+		if got, want := sys.EnergyPerEvent(), sys.computeEnergy(); got != want {
+			t.Errorf("%s: EnergyPerEvent %+v, fresh %+v", name, got, want)
+		}
+	}
+	if derated.DelayPerEvent() == cross.DelayPerEvent() || derated.EnergyPerEvent() == cross.EnergyPerEvent() {
+		t.Error("derated copy served the original link's figures")
+	}
+}
+
 func TestMaxSustainableEventRate(t *testing.T) {
 	f := getFixture(t)
 	for name, p := range map[string]partition.Placement{

@@ -187,6 +187,7 @@ func (e *Engine) ClassifyResultContext(ctx context.Context, samples []float64) (
 	if err != nil {
 		return Result{}, err
 	}
+	e.observePlainEvents(1)
 	return Result{Label: label, Mode: ModeFull}, nil
 }
 

@@ -2,6 +2,7 @@ package xpro
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -256,6 +257,49 @@ func TestSLOReportPlainEngine(t *testing.T) {
 	}
 	if h := eng.Health(); h.Status != "ok" {
 		t.Errorf("healthy engine reports %+v", h)
+	}
+}
+
+// A plain event served by the fleet (ClassifyResultContext) lands on
+// the SLO series like one classified directly.
+func TestSLOReportFleetServedPlainEngine(t *testing.T) {
+	eng, err := New(Config{Case: "C1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := NewNetwork(map[string]*Engine{"chest": eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := net.Serve(ServeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	test := eng.TestSet()
+	const n = 3
+	for i := 0; i < n; i++ {
+		ch, err := fleet.Submit(context.Background(), "chest", test[i].Samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := <-ch; r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	rep := eng.SLOReport()
+	if rep.TotalEvents != n {
+		t.Fatalf("TotalEvents = %d, want %d", rep.TotalEvents, n)
+	}
+	if want := eng.Report().DelayPerEventSeconds; rep.LatencyP50Seconds != want {
+		t.Errorf("fleet-served p50 %v != modeled delay %v", rep.LatencyP50Seconds, want)
+	}
+	nrep, err := net.SLOReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nrep.TotalEvents != n {
+		t.Errorf("network TotalEvents = %d, want %d", nrep.TotalEvents, n)
 	}
 }
 
