@@ -20,7 +20,9 @@
 //     re-prices every cut under today's channel, not the datasheet's.
 //
 //   - Controller: the hysteresis loop. It re-runs the delay-constrained
-//     generator against the effective channel, swaps the active cut
+//     generator against the effective channel (unless the min-cut
+//     energy floor already shows that no cut clears the improvement
+//     bar), swaps the active cut
 //     only after a minimum dwell time and only for a minimum relative
 //     energy improvement (no flapping), and puts every fresh cut on
 //     probation: a delay violation during probation rolls straight

@@ -3,6 +3,7 @@ package adaptive
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"xpro/internal/partition"
@@ -85,12 +86,20 @@ type Controller struct {
 	// inflation it was priced at; see candidate.
 	memoInf  float64
 	memoCand partition.Placement
+	// floorInf / floorE hold the last energy floor solved and the
+	// inflation it was priced at; see settled. noFloor (tests only)
+	// turns the floor off.
+	floorInf, floorE float64
+	noFloor          bool
 
-	evals, swaps, rollbacks *telemetry.Counter
-	gaugeLoss, gaugeOutage  *telemetry.Gauge
-	gaugeCells              *telemetry.Gauge
-	evalWall                *telemetry.Quantile
+	evals, swaps, rollbacks  *telemetry.Counter
+	floorReused, floorSolved *telemetry.Counter
+	gaugeLoss, gaugeOutage   *telemetry.Gauge
+	gaugeCells               *telemetry.Gauge
+	evalWall                 *telemetry.Quantile
 }
+
+const floorHelp = "Re-cut evaluations settled by the min-cut energy floor without running the generator, by whether the floor was reused across channel drift or solved afresh."
 
 // NewController builds a controller around a reference system. limit
 // is the delay constraint T_XPro every candidate cut must meet under
@@ -133,8 +142,12 @@ func NewController(cfg Config, sys *xsystem.System, limit float64, metrics *tele
 			"EWMA hard-outage estimate of the channel."),
 		gaugeCells: metrics.Gauge("xpro_active_cut_sensor_cells",
 			"Sensor-side cell count of the currently active cut."),
+		floorReused: metrics.Counter(telemetry.WithLabels("xpro_recut_floor_settled_total",
+			map[string]string{"floor": "reused"}), floorHelp),
+		floorSolved: metrics.Counter(telemetry.WithLabels("xpro_recut_floor_settled_total",
+			map[string]string{"floor": "solved"}), floorHelp),
 		evalWall: metrics.Quantile("xpro_recut_eval_wall_seconds",
-			"Wall time of one re-cut evaluation (windowed quantile sketch on host uptime).", 0),
+			"Wall time of one re-cut evaluation past the dwell and probation checks, floor-settled ones included (windowed quantile sketch on host uptime).", 0),
 	}
 	ns, _ := c.active.Counts()
 	c.gaugeCells.Set(float64(ns))
@@ -168,7 +181,9 @@ func (c *Controller) publishEstimate(est Estimate) {
 // and returns a Change when a sufficiently better cut exists, nil when
 // the active cut stands. Hysteresis applies: no change within the
 // dwell window, while a fresh cut is on probation, or for an
-// improvement below the threshold.
+// improvement below the threshold. The generator runs only when the
+// min-cut energy floor leaves room for such an improvement; see
+// settled.
 func (c *Controller) Evaluate(now float64) (*Change, error) {
 	c.evals.Inc()
 	est := c.est.Estimate()
@@ -176,9 +191,9 @@ func (c *Controller) Evaluate(now float64) (*Change, error) {
 	if c.prev != nil || now-c.lastChange < c.cfg.MinDwellSeconds {
 		return nil, nil
 	}
-	// Only full re-pricings land on the wall-time sketch; the dwell and
-	// probation early-outs above are nanosecond no-ops that would drown
-	// the signal.
+	// Only evaluations past the dwell and probation early-outs land on
+	// the wall-time sketch, floor-settled ones included; the early-outs
+	// are nanosecond no-ops that would drown the signal.
 	start := time.Now()
 	defer func() { c.evalWall.ObserveWall(time.Since(start).Seconds()) }()
 
@@ -186,13 +201,18 @@ func (c *Controller) Evaluate(now float64) (*Change, error) {
 	// hardware, derated link.
 	prob := *c.sys.Problem()
 	prob.Link = est.EffectiveModel(c.sys.Link, c.cfg.MaxInflation)
-	cand := c.candidate(est.Inflation(c.cfg.MaxInflation), &prob)
+	inf := est.Inflation(c.cfg.MaxInflation)
+	activeE := prob.SensorEnergy(c.active)
+	bar := activeE * (1 - c.cfg.ImprovementThreshold)
+	if !c.memoHit(inf) && c.settled(inf, &prob, bar) {
+		return nil, nil
+	}
+	cand := c.candidate(inf, &prob)
 	if cand.Equal(c.active) {
 		return nil, nil
 	}
-	activeE := prob.SensorEnergy(c.active)
 	candE := prob.SensorEnergy(cand)
-	if candE >= activeE*(1-c.cfg.ImprovementThreshold) {
+	if candE >= bar {
 		return nil, nil
 	}
 
@@ -230,7 +250,7 @@ func (c *Controller) Evaluate(now float64) (*Change, error) {
 // kept: a channel holding steady (clean at 1, or pinned at the cap)
 // re-evaluates without re-running the generator.
 func (c *Controller) candidate(inf float64, prob *partition.Problem) partition.Placement {
-	if c.memoCand != nil && inf == c.memoInf {
+	if c.memoHit(inf) {
 		return c.memoCand
 	}
 	// Delay is re-priced too — a cut whose crossing payloads need too
@@ -257,6 +277,40 @@ func (c *Controller) candidate(inf float64, prob *partition.Problem) partition.P
 	}
 	c.memoInf, c.memoCand = inf, cand
 	return cand
+}
+
+// memoHit reports whether candidate holds the cut for inflation inf.
+func (c *Controller) memoHit(inf float64) bool {
+	return c.memoCand != nil && inf == c.memoInf
+}
+
+// settled reports whether no cut on the channel prob prices can clear
+// bar, the energy a candidate must come in under, so that Evaluate
+// would return nil whatever the generator picked. Every candidate —
+// swept cut, greedy repair or in-sensor anchor — costs at least the
+// min-cut energy floor (partition.Problem.EnergyFloor).
+//
+// The floor is a function of the inflation alone: f(inf) = min over
+// placements q of a_q + inf·b_q with a_q, b_q ≥ 0, since EffectiveModel
+// scales the per-bit energies linearly. As a minimum of nondecreasing
+// lines through the positive quadrant, f is concave and nondecreasing
+// with f(0) ≥ 0, so f(inf) ≥ f(inf0)·min(1, inf/inf0). The last floor
+// solved is reused through that bound, and a fresh one is solved only
+// when the reused bound cannot settle the evaluation.
+func (c *Controller) settled(inf float64, prob *partition.Problem, bar float64) bool {
+	if c.noFloor {
+		return false
+	}
+	if c.floorE > 0 && c.floorE*math.Min(1, inf/c.floorInf) >= bar {
+		c.floorReused.Inc()
+		return true
+	}
+	c.floorInf, c.floorE = inf, prob.EnergyFloor()
+	if c.floorE >= bar {
+		c.floorSolved.Inc()
+		return true
+	}
+	return false
 }
 
 // ObserveEvent feeds one classified event back into the loop: the

@@ -35,6 +35,9 @@ type Graph struct {
 	adj   [][]int // node → indices into edges
 	edges []Edge
 
+	// value is the flow value of the last MaxFlow, zero after Reset.
+	value float64
+
 	// Solver scratch, kept so that re-solving after SetCap and Reset
 	// allocates nothing.
 	level, iter, queue, stack []int
@@ -80,6 +83,7 @@ func (g *Graph) Reset() {
 	for i := range g.edges {
 		g.edges[i].Flow = 0
 	}
+	g.value = 0
 }
 
 // SetCap updates the capacity of edge idx (its reverse residual is
@@ -95,6 +99,7 @@ func (g *Graph) SetCap(idx int, capacity float64) {
 // returns its value. Flows are left on the edges for cut extraction.
 func (g *Graph) MaxFlow(s, t int) float64 {
 	if s == t {
+		g.value = 0
 		return 0
 	}
 	if len(g.level) != g.n {
@@ -114,8 +119,13 @@ func (g *Graph) MaxFlow(s, t int) float64 {
 			total += f
 		}
 	}
+	g.value = total
 	return total
 }
+
+// Value returns the flow value the last MaxFlow computed (zero after
+// Reset). By weak duality it is at most the capacity of every s-t cut.
+func (g *Graph) Value() float64 { return g.value }
 
 // levels labels every node with its BFS distance from s over residual
 // edges (-1 when unreachable) and reports whether t is reachable.

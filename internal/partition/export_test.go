@@ -27,3 +27,16 @@ func (pr *Problem) ReferenceLadderSides() [][]bool {
 func (pr *Problem) ReferenceGenerate(delayOf func(Placement) float64, limit float64) (Result, error) {
 	return pr.generateFrom(referenceSweep(pr), delayOf, limit, time.Now())
 }
+
+// Inflated is pr re-priced on a link whose every bit goes on the air
+// inf times, the way the adaptive controller derates the channel.
+func (pr *Problem) Inflated(inf float64) *Problem {
+	q := *pr
+	q.Link.TxJPerBit *= inf
+	q.Link.RxJPerBit *= inf
+	q.Link.RateBps /= inf
+	return &q
+}
+
+// CheckEnergyFloor exports checkEnergyFloor.
+var CheckEnergyFloor = checkEnergyFloor

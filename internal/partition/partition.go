@@ -473,6 +473,27 @@ func (pr *Problem) MinCut() (Placement, float64) {
 	return p, pr.SensorEnergy(p)
 }
 
+// floorShade is the relative margin EnergyFloor gives up to float
+// rounding: the max flow and a placement's energy add the same
+// capacities in different orders.
+const floorShade = 1e-9
+
+// EnergyFloor returns a lower bound on SensorEnergy(p) over every
+// placement p, from one max-flow solve of the unconstrained s-t graph.
+// Every placement prices, less SensingEnergy, as some F/B cut, and no
+// flow exceeds the capacity of any cut (weak duality); SensingEnergy
+// plus the max-flow value therefore bounds the sensor energy of every
+// cut the generator can return, the single-end engines included. It is
+// shaded by a relative 1e-9 against float rounding and is otherwise
+// the energy of MinCut, up to the solver's residual tolerance.
+func (pr *Problem) EnergyFloor() float64 {
+	st := pr.acquireST()
+	st.solve(0)
+	flow := st.fg.Value()
+	pr.releaseST(st)
+	return (pr.SensingEnergy + flow) * (1 - floorShade)
+}
+
 // Result reports what the delay-constrained generator produced.
 type Result struct {
 	Placement Placement
@@ -625,6 +646,10 @@ func (pr *Problem) generateFrom(cands []cut, delayOf func(Placement) float64, li
 		}
 	}
 	if fallback.Placement == nil {
+		// Counted apart so that min-cut runs = ladder length ×
+		// (completed + infeasible) runs.
+		m.Counter("xpro_generate_infeasible_total",
+			"Generator runs that found no cut within the delay limit, single-end engines included.").Inc()
 		return Result{}, fmt.Errorf("partition: delay limit %v infeasible even for single-end engines", limit)
 	}
 	return done(fallback), nil

@@ -64,3 +64,29 @@ func TestGenerateMetrics(t *testing.T) {
 	}
 	t.Error("xpro_generate_seconds histogram not registered")
 }
+
+// A run that no cut can satisfy, the single-end engines included, is
+// counted as infeasible, so every ladder of min-cut solves is accounted
+// for by a completed or an infeasible run.
+func TestGenerateInfeasibleCounted(t *testing.T) {
+	pr := testProblem(t)
+	reg := telemetry.NewRegistry()
+	pr.Metrics = reg
+	defer func() { pr.Metrics = nil }()
+
+	tooSlow := func(Placement) float64 { return 1 }
+	if _, err := pr.Generate(tooSlow, 0.5); err == nil {
+		t.Fatal("a limit no placement meets must be an error")
+	}
+	if _, err := pr.Generate(tooSlow, 2); err != nil {
+		t.Fatal(err)
+	}
+	total := snapshotValue(reg, "xpro_generate_total")
+	infeasible := snapshotValue(reg, "xpro_generate_infeasible_total")
+	if total != 1 || infeasible != 1 {
+		t.Fatalf("generate_total = %v, infeasible_total = %v, want 1 and 1", total, infeasible)
+	}
+	if got, want := snapshotValue(reg, "xpro_generate_mincut_runs_total"), float64(len(lambdaLadder))*(total+infeasible); got != want {
+		t.Fatalf("mincut_runs_total = %v, want ladder length × runs = %v", got, want)
+	}
+}
