@@ -328,12 +328,18 @@ func (d *Dataset) ClassCounts() map[int]int {
 // segment.
 func (s Segment) PadTo(n int) []float64 {
 	out := make([]float64, n)
-	copied := copy(out, s.Samples)
-	if copied < n && copied > 0 {
-		last := out[copied-1]
-		for i := copied; i < n; i++ {
-			out[i] = last
-		}
-	}
+	s.PadInto(out)
 	return out
+}
+
+// PadInto is PadTo writing into out, padding to len(out).
+func (s Segment) PadInto(out []float64) {
+	copied := copy(out, s.Samples)
+	var last float64
+	if copied > 0 {
+		last = out[copied-1]
+	}
+	for i := copied; i < len(out); i++ {
+		out[i] = last
+	}
 }

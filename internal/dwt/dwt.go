@@ -49,24 +49,33 @@ var db4Lo = func() []float64 {
 	return []float64{(1 + s3) / d, (3 + s3) / d, (3 - s3) / d, (1 - s3) / d}
 }()
 
-// filters returns the analysis low-pass and high-pass filters for w.
-func (w Wavelet) filters() (lo, hi []float64) {
-	switch w {
-	case DB4:
-		lo = db4Lo
-	default:
-		r := 1 / math.Sqrt2
-		lo = []float64{r, r}
-	}
-	// Quadrature mirror: hi[k] = (−1)^k · lo[L−1−k].
-	hi = make([]float64, len(lo))
+// haarLo, haarHi, db4Hi complete the analysis filter bank.
+var (
+	haarLo = []float64{1 / math.Sqrt2, 1 / math.Sqrt2}
+	haarHi = mirror(haarLo)
+	db4Hi  = mirror(db4Lo)
+)
+
+// mirror returns the quadrature-mirror high-pass filter of lo:
+// hi[k] = (−1)^k · lo[L−1−k].
+func mirror(lo []float64) []float64 {
+	hi := make([]float64, len(lo))
 	for k := range lo {
 		hi[k] = lo[len(lo)-1-k]
 		if k%2 == 1 {
 			hi[k] = -hi[k]
 		}
 	}
-	return lo, hi
+	return hi
+}
+
+// filters returns the analysis low-pass and high-pass filters for w.
+// The slices are shared; callers must not modify them.
+func (w Wavelet) filters() (lo, hi []float64) {
+	if w == DB4 {
+		return db4Lo, db4Hi
+	}
+	return haarLo, haarHi
 }
 
 // Step performs one analysis step on signal x, returning the
@@ -74,17 +83,27 @@ func (w Wavelet) filters() (lo, hi []float64) {
 // len(x) must be even and at least the filter length; the signal is
 // extended periodically, keeping the transform orthonormal.
 func Step(w Wavelet, x []float64) (approx, detail []float64, err error) {
+	half := len(x) / 2
+	approx = make([]float64, half)
+	detail = make([]float64, half)
+	if err := StepInto(w, x, approx, detail); err != nil {
+		return nil, nil, err
+	}
+	return approx, detail, nil
+}
+
+// StepInto is Step writing into caller-owned approx and detail, each
+// at least len(x)/2 long.
+func StepInto(w Wavelet, x, approx, detail []float64) error {
 	lo, hi := w.filters()
 	n := len(x)
 	if n < len(lo) {
-		return nil, nil, fmt.Errorf("dwt: signal length %d shorter than %s filter length %d", n, w, len(lo))
+		return fmt.Errorf("dwt: signal length %d shorter than %s filter length %d", n, w, len(lo))
 	}
 	if n%2 != 0 {
-		return nil, nil, fmt.Errorf("dwt: signal length %d is odd", n)
+		return fmt.Errorf("dwt: signal length %d is odd", n)
 	}
 	half := n / 2
-	approx = make([]float64, half)
-	detail = make([]float64, half)
 	for i := 0; i < half; i++ {
 		var a, d float64
 		for k := 0; k < len(lo); k++ {
@@ -95,7 +114,7 @@ func Step(w Wavelet, x []float64) (approx, detail []float64, err error) {
 		approx[i] = a
 		detail[i] = d
 	}
-	return approx, detail, nil
+	return nil
 }
 
 // InverseStep reconstructs the even-length signal from one analysis step.
@@ -201,22 +220,32 @@ func MaxLevels(w Wavelet, n int) int {
 // arithmetic the in-sensor DWT functional cell implements. Only Haar is
 // supported in hardware (2-tap filter: one add, one subtract, one scale).
 func StepFixed(x []fixed.Num) (approx, detail []fixed.Num, err error) {
-	n := len(x)
-	if n < 2 || n%2 != 0 {
-		return nil, nil, fmt.Errorf("dwt: fixed-point step needs even length ≥ 2, got %d", n)
-	}
-	// 1/√2 in Q16.16.
-	r := fixed.FromFloat(1 / math.Sqrt2)
-	half := n / 2
+	half := len(x) / 2
 	approx = make([]fixed.Num, half)
 	detail = make([]fixed.Num, half)
-	for i := 0; i < half; i++ {
-		a := fixed.Add(x[2*i], x[2*i+1])
-		d := fixed.Sub(x[2*i], x[2*i+1])
-		approx[i] = fixed.Mul(a, r)
-		detail[i] = fixed.Mul(d, r)
+	if err := StepFixedInto(x, approx, detail); err != nil {
+		return nil, nil, err
 	}
 	return approx, detail, nil
+}
+
+// haarFixed is 1/√2 in Q16.16.
+var haarFixed = fixed.FromFloat(1 / math.Sqrt2)
+
+// StepFixedInto is StepFixed writing into caller-owned approx and
+// detail, each at least len(x)/2 long.
+func StepFixedInto(x, approx, detail []fixed.Num) error {
+	n := len(x)
+	if n < 2 || n%2 != 0 {
+		return fmt.Errorf("dwt: fixed-point step needs even length ≥ 2, got %d", n)
+	}
+	for i := 0; i < n/2; i++ {
+		a := fixed.Add(x[2*i], x[2*i+1])
+		d := fixed.Sub(x[2*i], x[2*i+1])
+		approx[i] = fixed.Mul(a, haarFixed)
+		detail[i] = fixed.Mul(d, haarFixed)
+	}
+	return nil
 }
 
 // DecomposeFixed computes a levels-deep Haar DWT in fixed point.

@@ -188,6 +188,33 @@ func Sqrt(x Num) Num {
 	return sat64(int64(res))
 }
 
+// Exp's saturation bounds: e^10.39 ≈ 32500 is the last value below the
+// Max range; e^-11.1 < Eps.
+const (
+	expHi Num = 680919  // FromFloat(10.39)
+	expLo Num = -727450 // FromFloat(-11.1)
+)
+
+// ln2 is round(ln2 · 2^16).
+const ln2 = 45426
+
+// divConst is Div(x, y) for a positive divisor that is a compile-time
+// constant at every call site, where the quotient cannot saturate:
+// x·2^16 / y rounded half away from zero. Inlined with a constant y,
+// the division compiles to a multiply.
+func divConst(x Num, y int64) Num {
+	n := int64(x) << Shift
+	q := n / y
+	if r := n % y; 2*absInt64(r) >= y {
+		if n < 0 {
+			q--
+		} else {
+			q++
+		}
+	}
+	return Num(q)
+}
+
 // Exp returns e^x. It mirrors the "super computation" support of the
 // S-ALU (§3.1.1), which provides exponent, square root and reciprocal for
 // the generic classification algorithms (the RBF kernel needs exp).
@@ -195,23 +222,23 @@ func Sqrt(x Num) Num {
 // The implementation is range reduction to x = k·ln2 + r, |r| ≤ ln2/2,
 // followed by a degree-5 polynomial for e^r — the same
 // shift-and-polynomial structure a fixed-point hardware exp unit uses.
+// The divisors are the hardware unit's constants, so every division is
+// by a constant (the same rounding as Div).
 func Exp(x Num) Num {
-	// Saturation bounds: e^10.4 ≈ 32859 > Max range; e^-11.1 < Eps.
-	if x > FromFloat(10.39) {
+	if x > expHi {
 		return Max
 	}
-	if x < FromFloat(-11.1) {
+	if x < expLo {
 		return 0
 	}
-	const ln2 = Num(45426) // round(ln2 · 2^16)
 	// k = round(x / ln2)
-	k := int32(Div(x, ln2)+Half) >> Shift
-	r := Sub(x, Num(int64(k)*int64(ln2)))
+	k := int32(divConst(x, ln2)+Half) >> Shift
+	r := Sub(x, Num(int64(k)*ln2))
 	// e^r ≈ 1 + r + r²/2 + r³/6 + r⁴/24 + r⁵/120 (Horner form).
-	term := Add(One, Div(r, FromInt(5)))
-	term = Add(One, Mul(Div(r, FromInt(4)), term))
-	term = Add(One, Mul(Div(r, FromInt(3)), term))
-	term = Add(One, Mul(Div(r, FromInt(2)), term))
+	term := Add(One, divConst(r, 5<<Shift))
+	term = Add(One, Mul(divConst(r, 4<<Shift), term))
+	term = Add(One, Mul(divConst(r, 3<<Shift), term))
+	term = Add(One, Mul(divConst(r, 2<<Shift), term))
 	term = Add(One, Mul(r, term))
 	// Scale by 2^k.
 	if k >= 0 {

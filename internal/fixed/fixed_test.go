@@ -180,6 +180,52 @@ func TestExpSaturation(t *testing.T) {
 	}
 }
 
+// expByDiv is Exp as first written: bounds converted with FromFloat on
+// every call and every division through the run-time divider Div.
+func expByDiv(x Num) Num {
+	if x > FromFloat(10.39) {
+		return Max
+	}
+	if x < FromFloat(-11.1) {
+		return 0
+	}
+	const ln2 = Num(45426)
+	k := int32(Div(x, ln2)+Half) >> Shift
+	r := Sub(x, Num(int64(k)*int64(ln2)))
+	term := Add(One, Div(r, FromInt(5)))
+	term = Add(One, Mul(Div(r, FromInt(4)), term))
+	term = Add(One, Mul(Div(r, FromInt(3)), term))
+	term = Add(One, Mul(Div(r, FromInt(2)), term))
+	term = Add(One, Mul(r, term))
+	if k >= 0 {
+		return sat64(int64(term) << uint(k))
+	}
+	sh := uint(-k)
+	if sh >= 47 {
+		return 0
+	}
+	return Num(int64(term) >> sh)
+}
+
+// Exp's constant divisors and hoisted bounds give the run-time
+// divider's result on every input between the bounds, and on ten past
+// each.
+func TestExpMatchesRuntimeDivision(t *testing.T) {
+	if expHi != FromFloat(10.39) || expLo != FromFloat(-11.1) {
+		t.Fatalf("bounds %d, %d; FromFloat gives %d, %d", expHi, expLo, FromFloat(10.39), FromFloat(-11.1))
+	}
+	n := 0
+	for x := expLo - 10; x <= expHi+10; x++ {
+		if got, want := Exp(x), expByDiv(x); got != want {
+			t.Fatalf("Exp(%d) = %d, run-time division gives %d", x, got, want)
+		}
+		n++
+	}
+	if n != 1408390 {
+		t.Errorf("checked %d inputs, want 1408390", n)
+	}
+}
+
 func TestRecip(t *testing.T) {
 	if Recip(FromInt(4)).Float() != 0.25 {
 		t.Error("Recip(4) != 0.25")

@@ -173,7 +173,7 @@ func TrainMVP(x [][]float64, y []int, p Params) (*Model, error) {
 			}
 		}
 	}
-	return m, nil
+	return m.Quantize(), nil
 }
 
 // DualObjective evaluates −(½ Σ α_i α_j y_i y_j K_ij − Σ α_i) for a

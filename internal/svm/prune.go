@@ -67,5 +67,5 @@ func (m *Model) Prune(keepFrac float64) (*Model, error) {
 		}
 		out.Coeffs = append(out.Coeffs, c)
 	}
-	return out, nil
+	return out.Quantize(), nil
 }

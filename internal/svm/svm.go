@@ -101,6 +101,51 @@ type Model struct {
 	// (collapsing the SVs to one dot product, as an in-sensor linear
 	// SVM cell would).
 	W []float64
+
+	// q holds the model's constants in Q16.16, as the in-sensor SVM
+	// cell's registers hold them. Train, TrainMVP and Prune set it;
+	// Quantize sets it for a model built or decoded by hand.
+	q *quantized
+}
+
+// quantized is a model's Q16.16 register file: the support vectors
+// flattened row-major, the coefficients, gamma, the bias and, for a
+// linear model with W, the weight vector.
+type quantized struct {
+	linear      bool
+	dim         int
+	gamma, bias fixed.Num
+	sv, coeffs  []fixed.Num
+	w           []fixed.Num
+}
+
+func quantize(m *Model) *quantized {
+	q := &quantized{
+		linear: m.Kernel == Linear && m.W != nil,
+		gamma:  fixed.FromFloat(m.Gamma),
+		bias:   fixed.FromFloat(m.Bias),
+	}
+	if q.linear {
+		q.w = fixed.FromSlice(m.W)
+		return q
+	}
+	q.coeffs = fixed.FromSlice(m.Coeffs)
+	if len(m.Vectors) > 0 {
+		q.dim = len(m.Vectors[0])
+	}
+	q.sv = make([]fixed.Num, 0, len(m.Vectors)*q.dim)
+	for _, v := range m.Vectors {
+		q.sv = append(q.sv, fixed.FromSlice(v)...)
+	}
+	return q
+}
+
+// Quantize converts the model's constants to Q16.16 once, for
+// DecisionFixed. Call it after building a Model literal or decoding
+// one, and again after changing its fields; it returns m.
+func (m *Model) Quantize() *Model {
+	m.q = quantize(m)
+	return m
 }
 
 // ErrBadTrainingSet reports an unusable training set.
@@ -272,7 +317,7 @@ func trainSMO(x [][]float64, y []int, p Params) (*Model, error) {
 			}
 		}
 	}
-	return m, nil
+	return m.Quantize(), nil
 }
 
 // Decision returns the real-valued decision function at x
@@ -326,25 +371,29 @@ func (m *Model) Dim() int {
 // DecisionFixed evaluates the decision function in Q16.16 fixed point,
 // exactly as the in-sensor SVM functional cell computes it: the S-ALU's
 // multiply/accumulate plus the super-computation exp primitive for the
-// RBF kernel (§3.1.1).
+// RBF kernel (§3.1.1). It reads the constants Quantize converted; a
+// model without them converts them for this call only.
 func (m *Model) DecisionFixed(x []fixed.Num) fixed.Num {
-	if m.Kernel == Linear && m.W != nil {
-		acc := fixed.FromFloat(m.Bias)
-		for d, w := range m.W {
-			acc = fixed.Add(acc, fixed.Mul(fixed.FromFloat(w), x[d]))
+	q := m.q
+	if q == nil {
+		q = quantize(m)
+	}
+	acc := q.bias
+	if q.linear {
+		for d, w := range q.w {
+			acc = fixed.Add(acc, fixed.Mul(w, x[d]))
 		}
 		return acc
 	}
-	gamma := fixed.FromFloat(m.Gamma)
-	acc := fixed.FromFloat(m.Bias)
-	for i, v := range m.Vectors {
+	for i, c := range q.coeffs {
+		v := q.sv[i*q.dim : (i+1)*q.dim]
 		var d2 fixed.Num
-		for d := range v {
-			diff := fixed.Sub(fixed.FromFloat(v[d]), x[d])
+		for d, sv := range v {
+			diff := fixed.Sub(sv, x[d])
 			d2 = fixed.Add(d2, fixed.Mul(diff, diff))
 		}
-		kv := fixed.Exp(fixed.Neg(fixed.Mul(gamma, d2)))
-		acc = fixed.Add(acc, fixed.Mul(fixed.FromFloat(m.Coeffs[i]), kv))
+		kv := fixed.Exp(fixed.Neg(fixed.Mul(q.gamma, d2)))
+		acc = fixed.Add(acc, fixed.Mul(c, kv))
 	}
 	return acc
 }

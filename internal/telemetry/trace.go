@@ -84,11 +84,29 @@ func (t *Tracer) Add(s Span) {
 		return
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.addLocked(&s)
+	t.mu.Unlock()
+}
+
+// AddAll records spans in order under one lock, as consecutive Add
+// calls would, so no other span lands between them. The slice is
+// copied; the caller keeps it.
+func (t *Tracer) AddAll(spans []Span) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	for i := range spans {
+		t.addLocked(&spans[i])
+	}
+	t.mu.Unlock()
+}
+
+func (t *Tracer) addLocked(s *Span) {
 	t.seq++
-	s.Seq = t.seq
 	t.recorded++
-	t.buf[t.next] = s
+	t.buf[t.next] = *s
+	t.buf[t.next].Seq = t.seq
 	t.next++
 	if t.next == len(t.buf) {
 		t.next = 0

@@ -55,6 +55,63 @@ func TestTracerPartialFill(t *testing.T) {
 	}
 }
 
+// AddAll records what consecutive Adds would, wrapping the ring the
+// same way, and leaves the caller's slice untouched.
+func TestTracerAddAllMatchesAdd(t *testing.T) {
+	one, all := NewTracer(5), NewTracer(5)
+	for round := 0; round < 3; round++ {
+		batch := make([]Span, 3)
+		for i := range batch {
+			batch[i] = Span{Event: uint64(round), Name: fmt.Sprintf("cell%d.%d", round, i), End: "sensor"}
+			one.Add(batch[i])
+		}
+		all.AddAll(batch)
+		for _, s := range batch {
+			if s.Seq != 0 {
+				t.Fatalf("AddAll wrote Seq %d into the caller's slice", s.Seq)
+			}
+		}
+	}
+	all.AddAll(nil)
+	if a, b := fmt.Sprint(one.Spans()), fmt.Sprint(all.Spans()); a != b {
+		t.Fatalf("AddAll retained %s, Add retained %s", b, a)
+	}
+	if one.Recorded() != all.Recorded() || one.Dropped() != all.Dropped() {
+		t.Fatalf("recorded/dropped %d/%d vs %d/%d", all.Recorded(), all.Dropped(), one.Recorded(), one.Dropped())
+	}
+	var nilTracer *Tracer
+	nilTracer.AddAll([]Span{{Name: "x"}})
+}
+
+// One AddAll's spans stay contiguous in sequence order however other
+// goroutines record.
+func TestTracerAddAllContiguous(t *testing.T) {
+	tr := NewTracer(4096)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				batch := []Span{{Event: uint64(g), Name: "a"}, {Event: uint64(g), Name: "b"}, {Event: uint64(g), Name: "c"}}
+				tr.AddAll(batch)
+				tr.Add(Span{Event: 99})
+			}
+		}(g)
+	}
+	wg.Wait()
+	spans := tr.Spans()
+	for i := 0; i < len(spans); i++ {
+		if spans[i].Name != "a" {
+			continue
+		}
+		if i+2 >= len(spans) || spans[i+1].Name != "b" || spans[i+2].Name != "c" ||
+			spans[i+1].Event != spans[i].Event || spans[i+2].Event != spans[i].Event {
+			t.Fatalf("batch starting at %d interleaved: %+v", i, spans[i:min(i+3, len(spans))])
+		}
+	}
+}
+
 func TestTracerConcurrent(t *testing.T) {
 	tr := NewTracer(128)
 	var wg sync.WaitGroup

@@ -3,7 +3,6 @@ package xsystem
 import (
 	"math"
 
-	"xpro/internal/ensemble"
 	"xpro/internal/fixed"
 	"xpro/internal/topology"
 )
@@ -99,32 +98,11 @@ func perValueBits(e topology.Edge) int64 {
 	return e.Bits / int64(e.Values)
 }
 
-// crossFloat converts a producer value for consumption on the other end
-// in float64, applying wire quantization.
-func crossFloat(v value, e topology.Edge) []float64 {
-	fs := v.asFloat()
-	bits := perValueBits(e)
-	out := make([]float64, len(fs))
-	for i, f := range fs {
-		out[i] = quantizeWire(f, bits)
-	}
-	return out
-}
-
-// crossFixed converts a producer value for consumption on the other end
-// in Q16.16, applying wire quantization.
-func crossFixed(v value, e topology.Edge) []fixed.Num {
-	fs := crossFloat(v, e)
-	return fixed.FromSlice(fs)
-}
-
-// normFixed applies a feature normalization range in Q16.16: the
-// hardware cell's final (v − min)·scale stage with [0,1] clamping.
-func normFixed(v fixed.Num, r ensemble.Range) fixed.Num {
-	if r.Scale == 0 {
-		return 0
-	}
-	n := fixed.Mul(fixed.Sub(v, fixed.FromFloat(r.Min)), fixed.FromFloat(r.Scale))
+// normFixed applies a feature normalization range, given in Q16.16 as
+// its minimum and scale: the hardware cell's final (v − min)·scale stage
+// with [0,1] clamping.
+func normFixed(v, min, scale fixed.Num) fixed.Num {
+	n := fixed.Mul(fixed.Sub(v, min), scale)
 	if n < 0 {
 		return 0
 	}

@@ -1,12 +1,11 @@
 package xsystem
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 
 	"xpro/internal/biosig"
 	"xpro/internal/faults"
-	"xpro/internal/fixed"
 	"xpro/internal/frame"
 	"xpro/internal/topology"
 	"xpro/internal/wireless"
@@ -343,7 +342,7 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 	}
 	var out Outcome
 	if s.Ens == nil {
-		return out, errors.New("xsystem: cost-analysis-only system has no classifier (built with nil ensemble)")
+		return out, errNoClassifier
 	}
 	if len(seg.Samples) != s.Graph.SegLen {
 		return out, fmt.Errorf("xsystem: segment length %d, engine built for %d", len(seg.Samples), s.Graph.SegLen)
@@ -415,14 +414,17 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 		return ok
 	}
 
-	ev := newEvent(g, seg)
-	outputs := make([]value, len(g.Cells))
+	prog := s.prog()
+	sc := prog.acquire()
+	defer prog.release(sc)
+	defer clear(sc.over)
+	prog.load(&sc.ev, seg.Samples)
 
 	// dirtyView reconstructs the receive side of a producer's crossing
 	// output when any of its arrived transfer groups carries damage —
 	// undetected corruption, smeared slots or imputed losses. Nil means
-	// the arrival was pristine and consumers read the producer verbatim
-	// (quantization happens in the gather path as always).
+	// the arrival was pristine and consumers read the producer's
+	// crossing slot (quantized when it was produced).
 	dirtyView := func(producer topology.CellID) []float64 {
 		var view []float64
 		for gi := range groups {
@@ -432,7 +434,7 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 				continue
 			}
 			if view == nil {
-				view = append([]float64(nil), outputs[producer].asFloat()...)
+				view = prog.appendOutput(nil, sc, prog.index[producer])
 			}
 			// The group's slice of the producer's full output: a DWT cell
 			// emits detail ‖ approx, each its own group.
@@ -460,33 +462,44 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 		}
 		return view
 	}
+	// receive hands each available crossing in-edge of step i whose
+	// payload arrived damaged the receiver's reconstruction.
+	receive := func(i int, ins []topology.Edge, avail []bool) {
+		id := prog.steps[i].cell
+		for k, e := range ins {
+			if avail[k] && e.From != topology.SourceID && p.OnSensor(e.From) != p.OnSensor(id) {
+				sc.over[prog.steps[i].in0+k] = dirtyView(e.From)
+			}
+		}
+	}
 
 	// When the raw segment crossed dirty, off-sensor source readers see
 	// the receiver's reconstruction, not the sensor's pristine samples.
-	var evRx *event
-	rxEvent := func() *event {
-		if evRx != nil {
-			return evRx
+	rxLoaded := false
+	rxSource := func() *source {
+		if !rxLoaded {
+			rxLoaded = true
+			copy(sc.rxRaw, seg.Samples)
+			per := int64(0)
+			if g.SegLen > 0 {
+				per = g.SourceBits / int64(g.SegLen)
+			}
+			imputed := applyDamage(sc.rxRaw, per, rawX.rx, opt.imputePolicy())
+			if !rawX.counted {
+				rawX.counted = true
+				rawX.rx.Imputed = imputed
+				out.ImputedValues += imputed
+			}
+			prog.load(&sc.rx, sc.rxRaw)
 		}
-		samples := append([]float64(nil), seg.Samples...)
-		per := int64(0)
-		if g.SegLen > 0 {
-			per = g.SourceBits / int64(g.SegLen)
-		}
-		imputed := applyDamage(samples, per, rawX.rx, opt.imputePolicy())
-		if !rawX.counted {
-			rawX.counted = true
-			rawX.rx.Imputed = imputed
-			out.ImputedValues += imputed
-		}
-		evRx = newEvent(g, biosig.Segment{Samples: samples, Label: seg.Label})
-		return evRx
+		return &sc.rx
 	}
-	lost := make([]bool, len(g.Cells))
+	lost := sc.lost
+	clear(lost)
 	complete := true
-	for _, id := range s.order {
-		c := g.Cells[id]
-		if state.Brownout && p.OnSensor(id) {
+	for i, id := range s.order {
+		st := &prog.steps[i]
+		if state.Brownout && st.sensor {
 			// The cell array is below its operating threshold; sensing
 			// itself survives, so raw data can still stream out.
 			lost[id] = true
@@ -494,36 +507,26 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 			continue
 		}
 		ins := g.InEdges(id)
-		avail := make([]bool, len(ins))
-		for i, e := range ins {
+		avail := sc.avail[:len(ins)]
+		for k, e := range ins {
 			switch {
 			case e.From == topology.SourceID:
-				avail[i] = p.OnSensor(id) || r.ensure(rawX)
+				avail[k] = st.sensor || r.ensure(rawX)
 			case lost[e.From]:
-				avail[i] = false
-			case p.OnSensor(e.From) != p.OnSensor(id):
-				avail[i] = crossed(id, e.From)
+				avail[k] = false
+			case p.OnSensor(e.From) != st.sensor:
+				avail[k] = crossed(id, e.From)
 			default:
-				avail[i] = true
+				avail[k] = true
 			}
 		}
-		// fetch resolves one in-edge's producer value as this cell sees
-		// it: crossing edges whose payload arrived damaged read the
-		// receiver's reconstruction instead of the producer verbatim.
-		fetch := func(i int) value {
-			e := ins[i]
-			if e.From != topology.SourceID && p.OnSensor(e.From) != p.OnSensor(id) {
-				if view := dirtyView(e.From); view != nil {
-					return value{fl: view}
-				}
-			}
-			return outputs[e.From]
-		}
-		if c.Role == topology.RoleFusion {
-			if p.OnSensor(id) {
+		if st.role == topology.RoleFusion {
+			if st.sensor {
 				out.SensorEnergy += s.HW.Energy(id)
 			}
-			v, used := s.fusePartial(c, ins, avail, fetch)
+			receive(i, ins, avail)
+			used := prog.fuse(sc, i, avail)
+			clear(sc.over[st.in0:st.in1])
 			out.VotesTotal = len(ins)
 			out.VotesUsed = used
 			minVotes := opt.Policy.MinVotes
@@ -539,47 +542,36 @@ func (s *System) ClassifyOver(seg biosig.Segment, opt *ResilientOptions) (Outcom
 				out.PartialFusion = true
 				complete = false
 			}
-			outputs[id] = v
 			continue
 		}
-		allIn := true
-		for _, a := range avail {
-			if !a {
-				allIn = false
-				break
-			}
-		}
-		if !allIn {
+		if slices.Contains(avail, false) {
 			lost[id] = true
 			complete = false
 			continue
 		}
-		if p.OnSensor(id) {
+		if st.sensor {
 			out.SensorEnergy += s.HW.Energy(id)
 		}
-		cellEv := ev
-		if !p.OnSensor(id) && rawX != nil && rawX.ok && rawX.rx.Dirty() {
-			cellEv = rxEvent()
+		src := &sc.ev
+		if !st.sensor && rawX != nil && rawX.ok && rawX.rx.Dirty() {
+			src = rxSource()
 		}
-		v, err := s.evalCell(c, ins, fetch, cellEv)
+		receive(i, ins, avail)
+		err := prog.exec(sc, i, src)
+		clear(sc.over[st.in0:st.in1])
 		if err != nil {
-			return out, fmt.Errorf("xsystem: cell %s: %w", c.Name, err)
+			return out, fmt.Errorf("xsystem: cell %s: %w", st.name, err)
 		}
-		outputs[id] = v
 	}
 
 	if lost[g.Output] {
 		return out, &NoResultError{Cause: r.lastErr, Outcome: out}
 	}
-	final := outputs[g.Output]
-	switch {
-	case final.fl != nil && len(final.fl) > 0:
-		out.Score = final.fl[0]
-	case final.fx != nil && len(final.fx) > 0:
-		out.Score = final.fx[0].Float()
-	default:
+	score, err := prog.score(sc)
+	if err != nil {
 		return out, &NoResultError{Cause: r.lastErr, Outcome: out}
 	}
+	out.Score = score
 	if out.Score >= 0 {
 		out.Label = 1
 	}
@@ -644,56 +636,4 @@ func applyDamage(view []float64, bits int64, rx *frame.RxReport, policy frame.Im
 		}
 	}
 	return frame.Impute(view, missing, policy)
-}
-
-// fusePartial fuses the available base-classifier scores: the trained
-// bias plus each available vote, exactly the fusion cell's computation
-// restricted to the votes that arrived. fetch resolves the i-th
-// in-edge's producer value as the fusion cell sees it (including any
-// receive-side damage). It returns the fused value in the
-// representation of the fusion cell's end and the vote count used.
-func (s *System) fusePartial(c topology.Cell, ins []topology.Edge, avail []bool, fetch func(int) value) (value, int) {
-	used := 0
-	if s.Placement.OnSensor(c.ID) {
-		score := fixed.FromFloat(s.Ens.Weights[len(s.Ens.Bases)])
-		for i, e := range ins {
-			if !avail[i] {
-				continue
-			}
-			v := fetch(i)
-			var sv fixed.Num
-			if s.Placement.OnSensor(e.From) == s.Placement.OnSensor(c.ID) {
-				sv = v.asFixed()[0]
-			} else {
-				sv = crossFixed(v, e)[0]
-			}
-			vote := fixed.FromInt(-1)
-			if sv >= 0 {
-				vote = fixed.One
-			}
-			score = fixed.Add(score, fixed.Mul(fixed.FromFloat(s.Ens.Weights[i]), vote))
-			used++
-		}
-		return value{fx: []fixed.Num{score}}, used
-	}
-	score := s.Ens.Weights[len(s.Ens.Bases)]
-	for i, e := range ins {
-		if !avail[i] {
-			continue
-		}
-		v := fetch(i)
-		var sv float64
-		if s.Placement.OnSensor(e.From) == s.Placement.OnSensor(c.ID) {
-			sv = v.asFloat()[0]
-		} else {
-			sv = crossFloat(v, e)[0]
-		}
-		vote := -1.0
-		if sv >= 0 {
-			vote = 1.0
-		}
-		score += s.Ens.Weights[i] * vote
-		used++
-	}
-	return value{fl: []float64{score}}, used
 }

@@ -78,7 +78,8 @@ func recv[T any](st *stream, ch <-chan T) (T, bool) {
 func (s *System) Stream(in <-chan biosig.Segment) <-chan StreamResult {
 	results := make(chan StreamResult, streamDepth)
 	st := &stream{sys: s, done: make(chan struct{})}
-	if s.Ens == nil {
+	prog := s.prog()
+	if prog == nil {
 		go func() {
 			defer close(results)
 			if _, ok := <-in; ok {
@@ -88,14 +89,18 @@ func (s *System) Stream(in <-chan biosig.Segment) <-chan StreamResult {
 		return results
 	}
 
+	// Each event carries its own scratch from the program's free list;
+	// edges carry only the token that their producer has written its
+	// output (and its crossing payloads) there. The scratch goes back
+	// when every cell and the collector are done with it.
 	g := s.Graph
-	edgeCh := make([]chan value, len(g.Edges))
+	edgeCh := make([]chan struct{}, len(g.Edges))
 	for i := range edgeCh {
-		edgeCh[i] = make(chan value, streamDepth)
+		edgeCh[i] = make(chan struct{}, streamDepth)
 	}
-	eventCh := make([]chan *event, len(g.Cells))
+	eventCh := make([]chan *scratch, len(g.Cells))
 	for i := range eventCh {
-		eventCh[i] = make(chan *event, streamDepth)
+		eventCh[i] = make(chan *scratch, streamDepth)
 	}
 	inEdgeIdx := make([][]int, len(g.Cells))
 	outEdgeIdx := make([][]int, len(g.Cells))
@@ -105,47 +110,49 @@ func (s *System) Stream(in <-chan biosig.Segment) <-chan StreamResult {
 		}
 		inEdgeIdx[e.To] = append(inEdgeIdx[e.To], ei)
 	}
-	outCh := make(chan value, streamDepth)
+	outCh := make(chan *scratch, streamDepth)
+	done := func(sc *scratch) {
+		if sc.pending.Add(-1) == 0 {
+			prog.release(sc)
+		}
+	}
 
 	// One goroutine per functional cell (design rule 1).
-	for i := range g.Cells {
-		c := g.Cells[i]
+	for i := range prog.steps {
+		id := prog.steps[i].cell
 		go func() {
-			if c.ID == g.Output {
+			if id == g.Output {
 				defer close(outCh)
 			}
-			ins := g.InEdges(c.ID)
+			ins := g.InEdges(id)
 			for {
-				ev, ok := recv(st, eventCh[c.ID])
+				sc, ok := recv(st, eventCh[id])
 				if !ok {
 					return
 				}
-				vals := make([]value, len(ins))
-				for k, ei := range inEdgeIdx[c.ID] {
+				for k, ei := range inEdgeIdx[id] {
 					if ins[k].From == topology.SourceID {
-						continue // carried by ev
+						continue // carried by the event
 					}
-					v, ok := recv(st, edgeCh[ei])
-					if !ok {
+					if _, ok := recv(st, edgeCh[ei]); !ok {
 						return
 					}
-					vals[k] = v
 				}
-				out, err := s.evalCell(c, ins, func(k int) value { return vals[k] }, ev)
-				if err != nil {
-					st.fail(fmt.Errorf("xsystem: cell %s: %w", c.Name, err))
+				if err := prog.exec(sc, i, &sc.ev); err != nil {
+					st.fail(fmt.Errorf("xsystem: cell %s: %w", prog.steps[i].name, err))
 					return
 				}
-				for _, ei := range outEdgeIdx[c.ID] {
-					if !send(st, edgeCh[ei], out) {
+				for _, ei := range outEdgeIdx[id] {
+					if !send(st, edgeCh[ei], struct{}{}) {
 						return
 					}
 				}
-				if c.ID == g.Output {
-					if !send(st, outCh, out) {
+				if id == g.Output {
+					if !send(st, outCh, sc) {
 						return
 					}
 				}
+				done(sc)
 			}
 		}()
 	}
@@ -161,10 +168,12 @@ func (s *System) Stream(in <-chan biosig.Segment) <-chan StreamResult {
 				st.fail(fmt.Errorf("xsystem: segment %d has length %d, engine built for %d", n, len(seg.Samples), g.SegLen))
 				break
 			}
-			ev := newEvent(g, seg)
+			sc := prog.acquire()
+			prog.load(&sc.ev, seg.Samples)
+			sc.pending.Store(int32(len(prog.steps) + 1))
 			delivered := true
 			for i := range eventCh {
-				if !send(st, eventCh[i], ev) {
+				if !send(st, eventCh[i], sc) {
 					delivered = false
 					break
 				}
@@ -186,20 +195,15 @@ func (s *System) Stream(in <-chan biosig.Segment) <-chan StreamResult {
 		defer close(results)
 		idx := 0
 		for {
-			out, ok := <-outCh
+			sc, ok := <-outCh
 			if !ok {
 				break
 			}
 			label := 0
-			var score float64
-			if out.fl != nil {
-				score = out.fl[0]
-			} else {
-				score = out.fx[0].Float()
-			}
-			if score >= 0 {
+			if score, err := prog.score(sc); err == nil && score >= 0 {
 				label = 1
 			}
+			done(sc)
 			results <- StreamResult{Index: idx, Label: label}
 			idx++
 		}

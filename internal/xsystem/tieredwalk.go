@@ -3,6 +3,7 @@ package xsystem
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"xpro/internal/biosig"
 	"xpro/internal/faults"
@@ -354,7 +355,7 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 		return out, fmt.Errorf("xsystem: %d hop transports for a %d-hop chain", len(opt.Hops), nh)
 	}
 	if ts.Ens == nil {
-		return out, errors.New("xsystem: cost-analysis-only system has no classifier (built with nil ensemble)")
+		return out, errNoClassifier
 	}
 	if len(seg.Samples) != ts.Graph.SegLen {
 		return out, fmt.Errorf("xsystem: segment length %d, engine built for %d", len(seg.Samples), ts.Graph.SegLen)
@@ -441,8 +442,11 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 		return ok
 	}
 
-	ev := newEvent(g, seg)
-	outputs := make([]value, len(g.Cells))
+	prog := ts.prog()
+	sc := prog.acquire()
+	defer prog.release(sc)
+	defer clear(sc.over)
+	prog.load(&sc.ev, seg.Samples)
 
 	// dirtyView reconstructs what a consumer on tier t received of a
 	// producer's crossing output when any traversed hop damaged it.
@@ -455,7 +459,7 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 				continue
 			}
 			if view == nil {
-				view = append([]float64(nil), outputs[producer].asFloat()...)
+				view = prog.appendOutput(nil, sc, prog.index[producer])
 			}
 			off := 0
 			if tg.Class == topology.PayloadApprox {
@@ -476,61 +480,65 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 		}
 		return view
 	}
+	// receive hands each available in-edge of step i that crossed a
+	// damaging hop the reconstruction its tier received.
+	receive := func(i int, ins []topology.Edge, avail []bool) {
+		id := prog.steps[i].cell
+		for k, e := range ins {
+			if avail[k] && e.From != topology.SourceID && tpl[e.From] != tpl[id] {
+				sc.over[prog.steps[i].in0+k] = dirtyView(e.From, tpl[id])
+			}
+		}
+	}
 
 	// When the raw segment crossed dirty, its readers see the relayed
 	// reconstruction, not the sensor's pristine samples.
-	var evRx *event
-	rxEvent := func() *event {
-		if evRx != nil {
-			return evRx
+	rxLoaded := false
+	rxSource := func() *source {
+		if !rxLoaded {
+			rxLoaded = true
+			copy(sc.rxRaw, seg.Samples)
+			per := int64(0)
+			if g.SegLen > 0 {
+				per = g.SourceBits / int64(g.SegLen)
+			}
+			r.applyLegs(sc.rxRaw, per, rawX, srcTier)
+			prog.load(&sc.rx, sc.rxRaw)
 		}
-		samples := append([]float64(nil), seg.Samples...)
-		per := int64(0)
-		if g.SegLen > 0 {
-			per = g.SourceBits / int64(g.SegLen)
-		}
-		r.applyLegs(samples, per, rawX, srcTier)
-		evRx = newEvent(g, biosig.Segment{Samples: samples, Label: seg.Label})
-		return evRx
+		return &sc.rx
 	}
 
-	lost := make([]bool, len(g.Cells))
+	lost := sc.lost
+	clear(lost)
 	complete := true
-	for _, id := range ts.order {
-		c := g.Cells[id]
+	for i, id := range ts.order {
+		st := &prog.steps[i]
 		if state.Brownout && tpl[id] == 0 {
 			lost[id] = true
 			complete = false
 			continue
 		}
 		ins := g.InEdges(id)
-		avail := make([]bool, len(ins))
-		for i, e := range ins {
+		avail := sc.avail[:len(ins)]
+		for k, e := range ins {
 			switch {
 			case e.From == topology.SourceID:
-				avail[i] = tpl[id] == 0 || r.ensureTo(rawX, tpl[id])
+				avail[k] = tpl[id] == 0 || r.ensureTo(rawX, tpl[id])
 			case lost[e.From]:
-				avail[i] = false
+				avail[k] = false
 			case tpl[e.From] != tpl[id]:
-				avail[i] = crossed(id, e.From)
+				avail[k] = crossed(id, e.From)
 			default:
-				avail[i] = true
+				avail[k] = true
 			}
 		}
-		fetch := func(i int) value {
-			e := ins[i]
-			if e.From != topology.SourceID && tpl[e.From] != tpl[id] {
-				if view := dirtyView(e.From, tpl[id]); view != nil {
-					return value{fl: view}
-				}
-			}
-			return outputs[e.From]
-		}
-		if c.Role == topology.RoleFusion {
+		if st.role == topology.RoleFusion {
 			if tpl[id] == 0 {
 				out.SensorEnergy += ts.cellEnergyAt(0, id)
 			}
-			v, used := ts.fusePartial(c, ins, avail, fetch)
+			receive(i, ins, avail)
+			used := prog.fuse(sc, i, avail)
+			clear(sc.over[st.in0:st.in1])
 			out.VotesTotal = len(ins)
 			out.VotesUsed = used
 			minVotes := opt.Policy.MinVotes
@@ -546,17 +554,9 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 				out.PartialFusion = true
 				complete = false
 			}
-			outputs[id] = v
 			continue
 		}
-		allIn := true
-		for _, a := range avail {
-			if !a {
-				allIn = false
-				break
-			}
-		}
-		if !allIn {
+		if slices.Contains(avail, false) {
 			lost[id] = true
 			complete = false
 			continue
@@ -564,29 +564,26 @@ func (ts *TieredSystem) ClassifyOver(seg biosig.Segment, opt *TieredOptions) (Ti
 		if tpl[id] == 0 {
 			out.SensorEnergy += ts.cellEnergyAt(0, id)
 		}
-		cellEv := ev
+		src := &sc.ev
 		if tpl[id] > 0 && rawX != nil && rawX.dirtyTo(tpl[id]) {
-			cellEv = rxEvent()
+			src = rxSource()
 		}
-		v, err := ts.evalCell(c, ins, fetch, cellEv)
+		receive(i, ins, avail)
+		err := prog.exec(sc, i, src)
+		clear(sc.over[st.in0:st.in1])
 		if err != nil {
-			return out, fmt.Errorf("xsystem: cell %s: %w", c.Name, err)
+			return out, fmt.Errorf("xsystem: cell %s: %w", st.name, err)
 		}
-		outputs[id] = v
 	}
 
 	if lost[g.Output] {
 		return out, &NoResultError{Cause: r.lastErr, Outcome: out.Outcome}
 	}
-	final := outputs[g.Output]
-	switch {
-	case final.fl != nil && len(final.fl) > 0:
-		out.Score = final.fl[0]
-	case final.fx != nil && len(final.fx) > 0:
-		out.Score = final.fx[0].Float()
-	default:
+	score, err := prog.score(sc)
+	if err != nil {
 		return out, &NoResultError{Cause: r.lastErr, Outcome: out.Outcome}
 	}
+	out.Score = score
 	if out.Score >= 0 {
 		out.Label = 1
 	}

@@ -30,12 +30,9 @@ import (
 	"xpro/internal/battery"
 	"xpro/internal/biosig"
 	"xpro/internal/celllib"
-	"xpro/internal/dwt"
 	"xpro/internal/ensemble"
-	"xpro/internal/fixed"
 	"xpro/internal/partition"
 	"xpro/internal/sensornode"
-	"xpro/internal/stats"
 	"xpro/internal/telemetry"
 	"xpro/internal/topology"
 	"xpro/internal/wireless"
@@ -67,6 +64,11 @@ type System struct {
 	// the system was built with (New, WithPlacement). A copy that swaps
 	// either reprices on every call.
 	priced *pricing
+	// program is the pipeline compiled for the placement the system was
+	// built with (New, WithPlacement); nil without an ensemble. A copy
+	// that swaps the placement (or graph, ensemble or hardware) compiles
+	// afresh on every call.
+	program *program
 }
 
 // pricing is the memoized DelayPerEvent and EnergyPerEvent of one
@@ -78,13 +80,18 @@ type pricing struct {
 	energy    Energy
 }
 
-// price fills the memo for the system's current placement and link.
-func (s *System) price() *System {
+// build fills the pricing memo for the system's current placement and
+// link, and compiles the program for its placement.
+func (s *System) build() *System {
 	s.priced = &pricing{
 		placement: s.Placement,
 		link:      s.Link,
 		delay:     s.DelayOf(s.Placement),
 		energy:    s.computeEnergy(),
+	}
+	s.program = nil
+	if s.Ens != nil {
+		s.program = compile(s)
 	}
 	return s
 }
@@ -173,7 +180,7 @@ func New(g *topology.Graph, ens *ensemble.Ensemble, proc celllib.Process, link w
 		problem:      prob,
 		order:        order,
 	}
-	return s.price(), nil
+	return s.build(), nil
 }
 
 // Problem exposes the pricing problem used by this system (shared with
@@ -195,7 +202,7 @@ func (s *System) WithPlacement(p partition.Placement) (*System, error) {
 	}
 	ns := *s
 	ns.Placement = append(partition.Placement(nil), p...)
-	return ns.price(), nil
+	return ns.build(), nil
 }
 
 // EventsPerSecond returns the segment-analysis rate.
@@ -454,26 +461,6 @@ func (s *System) AggregatorLifetimeHours() (float64, error) {
 	return battery.AggregatorBattery().LifetimeHours(s.AggregatorAvgPower())
 }
 
-// value is one cell's computed output, on whichever end produced it.
-type value struct {
-	fx []fixed.Num // sensor-side representation
-	fl []float64   // aggregator-side representation
-}
-
-func (v value) asFixed() []fixed.Num {
-	if v.fx != nil {
-		return v.fx
-	}
-	return fixed.FromSlice(v.fl)
-}
-
-func (v value) asFloat() []float64 {
-	if v.fl != nil {
-		return v.fl
-	}
-	return fixed.ToSlice(v.fx)
-}
-
 // ErrNotClassified reports a pipeline that produced no output.
 var ErrNotClassified = errors.New("xsystem: pipeline produced no classification")
 
@@ -487,285 +474,98 @@ var ErrNotClassified = errors.New("xsystem: pipeline produced no classification"
 // whole-event "classify" span.
 func (s *System) Classify(seg biosig.Segment) (int, error) {
 	start := time.Now()
-	label, err := s.classify(seg, start)
-	m := s.metrics()
-	if err != nil {
-		m.Counter("xpro_classify_errors_total",
+	p := s.prog()
+	score, err := s.classify(p, seg, start)
+	reg := s.metrics()
+	if p == nil {
+		reg.Counter("xpro_classify_errors_total",
 			"Classify calls that returned an error.").Inc()
-		return label, err
+		return 0, err
 	}
-	m.Counter("xpro_classify_total",
-		"Segments classified through the partitioned pipeline.").Inc()
-	m.Histogram("xpro_classify_seconds",
-		"Wall time of one Classify call.", telemetry.DurationBuckets).
-		Observe(time.Since(start).Seconds())
-	m.Quantile("xpro_classify_wall_seconds",
-		"Wall time of one Classify call (windowed quantile sketch on host uptime).",
-		0).ObserveWall(time.Since(start).Seconds())
-	ns, na := s.Placement.Counts()
-	m.Counter(telemetry.WithLabels("xpro_cells_executed_total", map[string]string{"end": "sensor"}),
-		"Functional-cell activations by end.").Add(float64(ns))
-	m.Counter(telemetry.WithLabels("xpro_cells_executed_total", map[string]string{"end": "aggregator"}),
-		"Functional-cell activations by end.").Add(float64(na))
-	return label, nil
-}
-
-func (s *System) classify(seg biosig.Segment, start time.Time) (int, error) {
-	if s.Ens == nil {
-		return 0, errors.New("xsystem: cost-analysis-only system has no classifier (built with nil ensemble)")
+	m := p.classifyMetricsFor(reg)
+	if err != nil {
+		m.errors.Inc()
+		return 0, err
 	}
-	if len(seg.Samples) != s.Graph.SegLen {
-		return 0, fmt.Errorf("xsystem: segment length %d, engine built for %d", len(seg.Samples), s.Graph.SegLen)
-	}
-	g := s.Graph
-	outputs := make([]value, len(g.Cells))
-
-	tr := s.tracer()
-	var evID uint64
-	if tr != nil {
-		evID = tr.NextEvent()
-	}
-	ev := newEvent(s.Graph, seg)
-	for _, id := range s.order {
-		c := g.Cells[id]
-		ins := g.InEdges(id)
-		fetch := func(i int) value { return outputs[ins[i].From] }
-		var t0 time.Time
-		if tr != nil {
-			t0 = time.Now()
-		}
-		out, err := s.evalCell(c, ins, fetch, ev)
-		if tr != nil {
-			end := "aggregator"
-			if s.Placement.OnSensor(id) {
-				end = "sensor"
-			}
-			energy, delay := s.CellCost(id)
-			span := telemetry.Span{
-				Event: evID, Name: c.Name, End: end,
-				Start: t0, Wall: time.Since(t0),
-				EnergyJoules: energy, DelaySeconds: delay,
-			}
-			if err != nil {
-				span.Err = err.Error()
-			}
-			tr.Add(span)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("xsystem: cell %s: %w", c.Name, err)
-		}
-		outputs[id] = out
-	}
-	if tr != nil {
-		d := s.DelayPerEvent()
-		tr.Add(telemetry.Span{
-			Event: evID, Name: "classify", End: "event",
-			Start: start, Wall: time.Since(start),
-			EnergyJoules: s.EnergyPerEvent().SensorTotal(),
-			DelaySeconds: d.Total(),
-		})
-	}
-
-	final := outputs[g.Output]
-	var score float64
-	switch {
-	case final.fl != nil && len(final.fl) > 0:
-		score = final.fl[0]
-	case final.fx != nil && len(final.fx) > 0:
-		score = final.fx[0].Float()
-	default:
-		return 0, ErrNotClassified
-	}
+	m.total.Inc()
+	wall := time.Since(start).Seconds()
+	m.seconds.Observe(wall)
+	m.wall.ObserveWall(wall)
+	m.sensorCells.Add(float64(p.nSensor))
+	m.aggCells.Add(float64(p.nAgg))
 	if score >= 0 {
 		return 1, nil
 	}
 	return 0, nil
 }
 
-// event carries one segment's source data in both representations.
-type event struct {
-	rawFloat    []float64
-	paddedFloat []float64
-	rawFixed    []fixed.Num
-	paddedFixed []fixed.Num
+// prog returns the system's compiled program, compiling afresh when s
+// is a copy whose placement (or graph, ensemble or hardware) no longer
+// matches it; nil for a cost-analysis-only system.
+func (s *System) prog() *program {
+	if p := s.program; p != nil && p.describes(s) {
+		return p
+	}
+	if s.Ens == nil {
+		return nil
+	}
+	return compile(s)
 }
 
-func newEvent(g *topology.Graph, seg biosig.Segment) *event {
-	rawFloat := seg.Samples
-	paddedFloat := seg.PadTo(ensemble.DWTInputLen)
-	return &event{
-		rawFloat:    rawFloat,
-		paddedFloat: paddedFloat,
-		rawFixed:    fixed.FromSlice(rawFloat),
-		paddedFixed: fixed.FromSlice(paddedFloat),
-	}
-}
+// errNoClassifier reports a cost-analysis-only system asked to classify.
+var errNoClassifier = errors.New("xsystem: cost-analysis-only system has no classifier (built with nil ensemble)")
 
-// dwtSlice selects what a consumer takes from a DWT producer's output
-// (detail‖approx): feature cells of band l take the detail half; the
-// next DWT level and approximation-band features take the approx half.
-func dwtSlice[T any](producer topology.Cell, wantApprox bool, out []T) []T {
-	half := producer.OutValues
-	if wantApprox {
-		return out[half:]
+// classify runs s's program p on seg and returns the fused score.
+func (s *System) classify(p *program, seg biosig.Segment, start time.Time) (float64, error) {
+	if p == nil {
+		return 0, errNoClassifier
 	}
-	return out[:half]
-}
-
-// evalCell executes one functional cell on one event. fetch returns the
-// producer value of the i-th in-edge; the cell computes in Q16.16 when
-// placed on the sensor, float64 on the aggregator.
-func (s *System) evalCell(c topology.Cell, ins []topology.Edge, fetch func(int) value, ev *event) (value, error) {
-	var out value
-	var err error
-	if s.Placement.OnSensor(c.ID) {
-		out.fx, err = s.evalFixed(c, ins, fetch, ev)
-	} else {
-		out.fl, err = s.evalFloat(c, ins, fetch, ev)
+	if len(seg.Samples) != s.Graph.SegLen {
+		return 0, fmt.Errorf("xsystem: segment length %d, engine built for %d", len(seg.Samples), s.Graph.SegLen)
 	}
-	return out, err
-}
-
-func (s *System) evalFixed(c topology.Cell, ins []topology.Edge, fetch func(int) value, ev *event) ([]fixed.Num, error) {
-	raw, padded := ev.rawFixed, ev.paddedFixed
-	gather := func(i int, wantApprox bool) []fixed.Num {
-		e := ins[i]
-		if e.From == topology.SourceID {
-			return nil // handled by caller context
-		}
-		from := s.Graph.Cells[e.From]
-		var v []fixed.Num
-		if s.Placement.OnSensor(e.From) == s.Placement.OnSensor(c.ID) {
-			v = fetch(i).asFixed()
-		} else {
-			// The payload crossed the link: apply wire quantization.
-			v = crossFixed(fetch(i), e)
-		}
-		if from.Role == topology.RoleDWT {
-			return dwtSlice(from, wantApprox, v)
-		}
-		return v
-	}
-	switch c.Role {
-	case topology.RoleDWT:
-		var in []fixed.Num
-		if c.Level == 1 {
-			in = padded
-		} else {
-			in = gather(0, true)
-		}
-		a, d, err := dwt.StepFixed(in)
-		if err != nil {
-			return nil, err
-		}
-		return append(d, a...), nil // detail ‖ approx
-	case topology.RoleFeature:
-		var in []fixed.Num
-		if c.Feature.Domain == ensemble.TimeDomain {
-			in = raw
-		} else {
-			in = gather(0, c.Feature.Domain == ensemble.DWTLevels+1)
-		}
-		v := stats.ComputeFixed(c.Feature.Feat, in)
-		// Feature cells emit the §4.4 [0,1]-normalized value.
-		return []fixed.Num{normFixed(v, s.Ens.FeatureRange(c.Feature))}, nil
-	case topology.RoleStdStage:
-		// The Var cell emits a normalized variance; undo that, take the
-		// square root, and apply the Std feature's own normalization.
-		varRange := s.Ens.FeatureRange(ensemble.FeatureSpec{Domain: c.Feature.Domain, Feat: stats.Var})
-		raw := fixed.FromFloat(varRange.Invert(gather(0, false)[0].Float()))
-		return []fixed.Num{normFixed(fixed.Sqrt(raw), s.Ens.FeatureRange(c.Feature))}, nil
-	case topology.RoleSVM:
-		x := make([]fixed.Num, len(ins))
-		for i := range ins {
-			x[i] = gather(i, false)[0]
-		}
-		return []fixed.Num{s.Ens.Bases[c.Base].Model.DecisionFixed(x)}, nil
-	case topology.RoleFusion:
-		score := fixed.FromFloat(s.Ens.Weights[len(s.Ens.Bases)])
-		for i := range ins {
-			vote := fixed.FromInt(-1)
-			if gather(i, false)[0] >= 0 {
-				vote = fixed.One
+	sc := p.acquire()
+	defer p.release(sc)
+	p.load(&sc.ev, seg.Samples)
+	tr := s.tracer()
+	if tr == nil {
+		for i := range p.steps {
+			if err := p.exec(sc, i, &sc.ev); err != nil {
+				return 0, fmt.Errorf("xsystem: cell %s: %w", p.steps[i].name, err)
 			}
-			score = fixed.Add(score, fixed.Mul(fixed.FromFloat(s.Ens.Weights[i]), vote))
 		}
-		return []fixed.Num{score}, nil
-	default:
-		return nil, fmt.Errorf("unknown role %v", c.Role)
+		return p.score(sc)
 	}
-}
 
-func (s *System) evalFloat(c topology.Cell, ins []topology.Edge, fetch func(int) value, ev *event) ([]float64, error) {
-	raw, padded := ev.rawFloat, ev.paddedFloat
-	gather := func(i int, wantApprox bool) []float64 {
-		e := ins[i]
-		if e.From == topology.SourceID {
-			return nil
-		}
-		from := s.Graph.Cells[e.From]
-		var v []float64
-		if s.Placement.OnSensor(e.From) == s.Placement.OnSensor(c.ID) {
-			v = fetch(i).asFloat()
-		} else {
-			// The payload crossed the link: apply wire quantization.
-			v = crossFloat(fetch(i), e)
-		}
-		if from.Role == topology.RoleDWT {
-			return dwtSlice(from, wantApprox, v)
-		}
-		return v
-	}
-	switch c.Role {
-	case topology.RoleDWT:
-		var in []float64
-		if c.Level == 1 {
-			in = padded
-		} else {
-			in = gather(0, true)
-		}
-		a, d, err := dwt.Step(dwt.Haar, in)
+	// Traced: one monotonic clock read per cell boundary, as an offset
+	// from start, and the event's spans recorded under one tracer lock.
+	evID := tr.NextEvent()
+	spans := sc.spans[:0]
+	defer func() { sc.spans = spans[:0] }()
+	t := time.Since(start)
+	for i := range p.steps {
+		st := &p.steps[i]
+		err := p.exec(sc, i, &sc.ev)
+		now := time.Since(start)
+		spans = append(spans, telemetry.Span{
+			Event: evID, Name: st.name, End: st.end,
+			Start: start.Add(t), Wall: now - t,
+			EnergyJoules: st.energy, DelaySeconds: st.delay,
+		})
+		t = now
 		if err != nil {
-			return nil, err
+			spans[len(spans)-1].Err = err.Error()
+			tr.AddAll(spans)
+			return 0, fmt.Errorf("xsystem: cell %s: %w", st.name, err)
 		}
-		return append(d, a...), nil
-	case topology.RoleFeature:
-		var in []float64
-		if c.Feature.Domain == ensemble.TimeDomain {
-			in = raw
-		} else {
-			in = gather(0, c.Feature.Domain == ensemble.DWTLevels+1)
-		}
-		// Feature cells emit the §4.4 [0,1]-normalized value.
-		return []float64{s.Ens.FeatureRange(c.Feature).Apply(stats.Compute(c.Feature.Feat, in))}, nil
-	case topology.RoleStdStage:
-		// The Var cell emits a normalized variance; undo that, take the
-		// square root, and apply the Std feature's own normalization.
-		varRange := s.Ens.FeatureRange(ensemble.FeatureSpec{Domain: c.Feature.Domain, Feat: stats.Var})
-		rawVar := varRange.Invert(gather(0, false)[0])
-		if rawVar < 0 {
-			rawVar = 0
-		}
-		return []float64{s.Ens.FeatureRange(c.Feature).Apply(math.Sqrt(rawVar))}, nil
-	case topology.RoleSVM:
-		x := make([]float64, len(ins))
-		for i := range ins {
-			x[i] = gather(i, false)[0]
-		}
-		return []float64{s.Ens.Bases[c.Base].Model.Decision(x)}, nil
-	case topology.RoleFusion:
-		score := s.Ens.Weights[len(s.Ens.Bases)]
-		for i := range ins {
-			vote := -1.0
-			if gather(i, false)[0] >= 0 {
-				vote = 1.0
-			}
-			score += s.Ens.Weights[i] * vote
-		}
-		return []float64{score}, nil
-	default:
-		return nil, fmt.Errorf("unknown role %v", c.Role)
 	}
+	spans = append(spans, telemetry.Span{
+		Event: evID, Name: "classify", End: "event",
+		Start: start, Wall: t,
+		EnergyJoules: s.EnergyPerEvent().SensorTotal(),
+		DelaySeconds: s.DelayPerEvent().Total(),
+	})
+	tr.AddAll(spans)
+	return p.score(sc)
 }
 
 // Accuracy classifies every segment of d through the cross-end pipeline.

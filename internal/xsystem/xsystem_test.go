@@ -9,8 +9,10 @@ import (
 	"xpro/internal/biosig"
 	"xpro/internal/celllib"
 	"xpro/internal/ensemble"
+	"xpro/internal/faults"
 	"xpro/internal/partition"
 	"xpro/internal/sensornode"
+	"xpro/internal/telemetry"
 	"xpro/internal/topology"
 	"xpro/internal/wireless"
 )
@@ -284,15 +286,50 @@ func TestLifetimes(t *testing.T) {
 	}
 }
 
-func BenchmarkClassifyCrossEnd(b *testing.B) {
+// crossEndSystem is the fixture's energy-optimal cut.
+func crossEndSystem(b *testing.B) (*fixture, *System) {
 	f := getFixture(b)
 	prob := newSystem(b, f, partition.InSensor(f.graph)).Problem()
 	p, _ := prob.MinCut()
-	s := newSystem(b, f, p)
+	return f, newSystem(b, f, p)
+}
+
+func BenchmarkClassifyCrossEnd(b *testing.B) {
+	f, s := crossEndSystem(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Classify(f.test.Segs[i%len(f.test.Segs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClassifyCrossEndTraced is BenchmarkClassifyCrossEnd with a
+// span tracer and a metrics registry wired, as an engine runs it: the
+// pair prices the observer.
+func BenchmarkClassifyCrossEndTraced(b *testing.B) {
+	f, s := crossEndSystem(b)
+	s.Metrics = telemetry.NewRegistry()
+	s.Tracer = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Classify(f.test.Segs[i%len(f.test.Segs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWalk2 runs the 2-end resilient walk on the infallible link
+// under the default policy: the walk's bookkeeping on top of the cells.
+func BenchmarkWalk2(b *testing.B) {
+	f, s := crossEndSystem(b)
+	opt := &ResilientOptions{Policy: faults.DefaultPolicy()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.ClassifyOver(f.test.Segs[i%len(f.test.Segs)], opt); err != nil {
 			b.Fatal(err)
 		}
 	}

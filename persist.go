@@ -123,6 +123,13 @@ func Load(r io.Reader) (*Engine, error) {
 	if ep.Ens == nil || len(ep.Ens.Bases) == 0 {
 		return nil, fmt.Errorf("xpro: snapshot has no classifier")
 	}
+	for _, b := range ep.Ens.Bases {
+		if b.Model == nil {
+			return nil, fmt.Errorf("xpro: snapshot has a base classifier without a model")
+		}
+		// The Q16.16 constants are derived state, not in the snapshot.
+		b.Model.Quantize()
+	}
 	cfg := ep.Config
 	spec, err := biosig.CaseBySymbol(cfg.Case)
 	if err != nil {
